@@ -20,6 +20,10 @@ are reproducible across processes and implementations:
     flip_and_crop         flip decision (next_unit < 0.5 flips), then crop
                           offset x, then y (next_int over [0, 2*pad])
 
+run_pipeline_batch is run_pipeline over a batch with one stream per image:
+the scalar draws stay per image, and the noise fields of the whole batch
+come from one lockstep rng.normal_fields call.
+
 The noisy copy is clipped to [0, 1] before the patch is combined with the
 original, so border pixels of the patch never exceed the unit range. All
 ops return new arrays and leave pixels outside the sampled rect
@@ -33,7 +37,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .images import clip_unit
-from .rng import RngStream
+from .rng import RngStream, normal_fields
 
 KINDS = ("none", "gaussian", "cutout", "patch_gaussian")
 ORDERS = ("augment_then_flipcrop", "flipcrop_then_augment")
@@ -156,15 +160,20 @@ def apply_cutout(img: np.ndarray, spec: AugmentSpec, rng: RngStream) -> np.ndarr
     return cutout_kernel(img, rect, spec.fill)
 
 
-def apply_patch_gaussian(img: np.ndarray, spec: AugmentSpec, rng: RngStream) -> np.ndarray:
-    """Square patch of Gaussian noise; see the module draw-order table."""
-    h, w, _ = img.shape
+def _patch_draws(shape, spec: AugmentSpec, rng: RngStream) -> tuple[PatchRect, float]:
+    """The draws of apply_patch_gaussian that precede its noise field."""
+    h, w, _ = shape
     patch = spec.patch_size
     if spec.sample_up_to:
         # Inclusive upper end: the configured size is the maximum.
         patch = rng.next_int(1, spec.patch_size)
     rect = sample_patch_bounds(rng, h, w, patch)
-    sigma = spec.sigma_max * rng.next_unit()
+    return rect, spec.sigma_max * rng.next_unit()
+
+
+def apply_patch_gaussian(img: np.ndarray, spec: AugmentSpec, rng: RngStream) -> np.ndarray:
+    """Square patch of Gaussian noise; see the module draw-order table."""
+    rect, sigma = _patch_draws(img.shape, spec, rng)
     noise = rng.normal_field(img.shape)
     return patch_gaussian_kernel(img, rect, sigma, noise)
 
@@ -213,3 +222,37 @@ def run_pipeline(img: np.ndarray, spec: AugmentSpec, rng: RngStream) -> np.ndarr
         return flip_and_crop(out, spec.pad, rng.derive("flipcrop"))
     out = flip_and_crop(img, spec.pad, rng.derive("flipcrop"))
     return apply_augment(out, spec, rng.derive("aug"))
+
+
+def run_pipeline_batch(images, spec: AugmentSpec, streams) -> np.ndarray:
+    """run_pipeline over a non-empty batch of equally shaped images: entry i
+    of the result is bit-identical to run_pipeline(images[i], spec,
+    streams[i]).
+
+    The "aug" and "flipcrop" child streams are independent, so the noise
+    kinds can make every image's draws before its field, draw all fields in
+    one normal_fields call, and only then run the stages image by image.
+    """
+    aug = [rng.derive("aug") for rng in streams]
+    flipcrop = [rng.derive("flipcrop") for rng in streams]
+    shape = np.shape(images[0])
+    draws = None
+    if spec.kind == "gaussian":
+        # A whole-image rect makes patch_gaussian_kernel apply_gaussian_kernel.
+        whole = PatchRect(0, 0, shape[1], shape[0])
+        draws = [(whole, spec.sigma_max * rng.next_unit()) for rng in aug]
+    elif spec.kind == "patch_gaussian":
+        draws = [_patch_draws(shape, spec, rng) for rng in aug]
+    noise = None if draws is None else normal_fields(aug, shape)
+    out = np.empty((len(aug),) + shape)
+    for i, img in enumerate(images):
+        if spec.order == "flipcrop_then_augment":
+            img = flip_and_crop(img, spec.pad, flipcrop[i])
+        if draws is None:
+            img = apply_augment(img, spec, aug[i])
+        else:
+            img = patch_gaussian_kernel(img, *draws[i], noise[i])
+        if spec.order == "augment_then_flipcrop":
+            img = flip_and_crop(img, spec.pad, flipcrop[i])
+        out[i] = img
+    return out

@@ -28,7 +28,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .augment import KINDS, ORDERS, AugmentSpec, run_pipeline
+from .augment import ORDERS, AugmentSpec, run_pipeline_batch
 from .corrupt import (
     CORRUPTION_KINDS,
     NOISE_KINDS,
@@ -64,7 +64,7 @@ from .metrics import (
 )
 from .model import TrainConfig, decode_model, encode_model, evaluate, init_toy_model, synth_dataset, train
 from .parallel import indexed_map
-from .rng import derive_stream
+from .rng import derive_stream, lockstep_groups
 
 _TRUE = {"1", "true", "yes", "on"}
 _FALSE = {"0", "false", "no", "off"}
@@ -90,6 +90,9 @@ def load_dataset(path) -> LabeledDataset:
     p = Path(path)
     if p.is_dir():
         labels = np.array([int(tok) for tok in (p / "labels.txt").read_text().split()], dtype=np.int64)
+        files = len(list(p.glob("*.imgt")))
+        if files != len(labels):
+            raise ValueError(f"{p}: {files} .imgt files for {len(labels)} labels")
         images = np.stack([decode_tensor((p / _image_name(i)).read_bytes()) for i in range(len(labels))])
         return LabeledDataset(images, labels)
     return read_cifar10_batch(p.read_bytes())
@@ -191,11 +194,14 @@ def cmd_augment(args) -> int:
     seed = _opt(args, "seed", int, 0)
     workers = _opt(args, "workers", int, 1)
     spec = _augment_spec(args, d)
+    groups = lockstep_groups(len(d))
 
-    def work(i):
-        return run_pipeline(d.images[i], spec, derive_stream(seed, i, "augment"))
+    def work(g):
+        rows = groups[g]
+        return run_pipeline_batch(d.images[rows.start:rows.stop], spec,
+                                  [derive_stream(seed, i, "augment") for i in rows])
 
-    images = np.stack(indexed_map(work, len(d), workers))
+    images = np.concatenate(indexed_map(work, len(groups), workers))
     write_dataset(LabeledDataset(images, d.labels.copy()), _req(args, "output", str))
     sheet = _opt(args, "sheet", str)
     if sheet is not None:

@@ -38,7 +38,7 @@ from scipy import stats
 from .augment import apply_gaussian_kernel
 from .images import LabeledDataset, clip_unit
 from .parallel import indexed_map
-from .rng import RngStream, derive_stream
+from .rng import RngStream, derive_stream, lockstep_groups, normal_fields
 
 CORRUPTION_KINDS = (
     "gaussian_noise",
@@ -241,18 +241,21 @@ def gaussian_eval_suite(
     Returns [(sigma, corrupted dataset)] for sigma in SIGMA_SUITE, in that
     order. Image i at sigma s is corrupted with the stream derived from
     (seed, i, "suite/<s>"), so the suite is reproducible image by image.
+    The noise fields of each lockstep group of images are drawn together,
+    and the groups are spread over `workers` threads.
     """
     if len(d) == 0:
         raise ValueError("empty dataset")
+    groups = lockstep_groups(len(d))
     suite = []
     for sigma in SIGMA_SUITE:
         tag = f"suite/{sigma}"
 
-        def work(i, sigma=sigma, tag=tag):
-            stream = derive_stream(seed, i, tag)
-            noise = stream.normal_field(d.images[i].shape)
-            return apply_gaussian_kernel(d.images[i], sigma, noise)
+        def work(g, sigma=sigma, tag=tag):
+            rows = groups[g]
+            noise = normal_fields([derive_stream(seed, i, tag) for i in rows], d.images.shape[1:])
+            return apply_gaussian_kernel(d.images[rows.start:rows.stop], sigma, noise)
 
-        images = np.stack(indexed_map(work, len(d), workers))
+        images = np.concatenate(indexed_map(work, len(groups), workers))
         suite.append((sigma, LabeledDataset(images, d.labels.copy())))
     return suite

@@ -17,9 +17,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .augment import AugmentSpec, run_pipeline
+from .augment import AugmentSpec, run_pipeline_batch
 from .images import LabeledDataset, clip_unit
-from .rng import derive_stream
+from .rng import derive_stream, lockstep_groups, normal_fields
 
 TOYM_MAGIC = b"TOYM"
 _TOYM_VERSION = 1
@@ -214,10 +214,12 @@ def train(m: ToyModel, d: LabeledDataset, cfg: TrainConfig) -> ToyModel:
     """Mini-batch SGD on the head; filters stay frozen.
 
     Each epoch visits a fresh Fisher-Yates permutation drawn from the
-    (seed, epoch, "shuffle") stream.  Every example is pushed through
-    run_pipeline with its own (seed, dataset index, "ep<epoch>") stream
-    before the forward pass, so augmentation draws depend only on the
-    example and epoch, never on batch composition.
+    (seed, epoch, "shuffle") stream.  Every example is pushed through the
+    augmentation pipeline with its own (seed, dataset index, "ep<epoch>")
+    stream before the forward pass, so augmentation draws depend only on the
+    example and epoch, never on batch composition.  The permuted order is
+    augmented in groups of whole batches (lockstep_groups), whose noise
+    fields are drawn together; each batch then takes its own step.
     """
     n = len(d)
     if n == 0:
@@ -230,16 +232,17 @@ def train(m: ToyModel, d: LabeledDataset, cfg: TrainConfig) -> ToyModel:
         for i in range(n - 1, 0, -1):
             j = shuffle.next_int(0, i)
             order[i], order[j] = order[j], order[i]
-        for start in range(0, n, cfg.batch_size):
-            idx = order[start:start + cfg.batch_size]
-            batch = np.stack([
-                run_pipeline(
-                    d.images[t], cfg.augment, derive_stream(cfg.seed, int(t), f"ep{epoch}")
-                )
-                for t in idx
-            ])
-            feats = _features(m, batch)
-            head -= cfg.learning_rate * _ce_gradient(feats, head, labels[idx])
+        for group in lockstep_groups(n, cfg.batch_size):
+            group_idx = order[group.start:group.stop]
+            augmented = run_pipeline_batch(
+                [d.images[t] for t in group_idx],
+                cfg.augment,
+                [derive_stream(cfg.seed, int(t), f"ep{epoch}") for t in group_idx],
+            )
+            for start in range(0, len(group_idx), cfg.batch_size):
+                idx = group_idx[start:start + cfg.batch_size]
+                feats = _features(m, augmented[start:start + cfg.batch_size])
+                head -= cfg.learning_rate * _ce_gradient(feats, head, labels[idx])
     return ToyModel(filters=m.filters, head=head, pool_grid=m.pool_grid)
 
 
@@ -256,14 +259,17 @@ def synth_dataset(seed: int, n: int, kind: str = "low_freq_vs_high_freq") -> Lab
     yy, xx = np.meshgrid(np.arange(size), np.arange(size), indexing="ij")
     images = np.empty((n, size, size, 1))
     labels = np.arange(n, dtype=np.int64) % 2
-    for i in range(n):
-        table = HIGH_FREQS if labels[i] else LOW_FREQS
-        stream = derive_stream(seed, i, "synth")
-        fi, fj = table[stream.next_int(0, len(table) - 1)]
-        phase = 2.0 * np.pi * stream.next_unit()
-        noise = stream.normal_field((size, size, 1))
-        wave = np.cos(2.0 * np.pi * (fi * yy + fj * xx) / size + phase)
-        images[i] = clip_unit(0.5 + GRATING_AMPLITUDE * wave[:, :, None] + BACKGROUND_SIGMA * noise)
+    for group in lockstep_groups(n):
+        streams = [derive_stream(seed, i, "synth") for i in group]
+        gratings = []
+        for i, stream in zip(group, streams):
+            table = HIGH_FREQS if labels[i] else LOW_FREQS
+            fi, fj = table[stream.next_int(0, len(table) - 1)]
+            gratings.append((fi, fj, 2.0 * np.pi * stream.next_unit()))
+        noise = normal_fields(streams, (size, size, 1))
+        for i, (fi, fj, phase), z in zip(group, gratings, noise):
+            wave = np.cos(2.0 * np.pi * (fi * yy + fj * xx) / size + phase)
+            images[i] = clip_unit(0.5 + GRATING_AMPLITUDE * wave[:, :, None] + BACKGROUND_SIGMA * z)
     return LabeledDataset(images, labels)
 
 

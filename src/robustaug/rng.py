@@ -26,20 +26,25 @@ the byte stream:
 The bulk methods (unit_array, normal_array, normal_field) advance the state
 exactly as the equivalent sequence of scalar calls and are bit-identical to
 them; they exist because per-pixel noise fields dominate the runtime of
-augmentation sweeps. The inner u64 loop is JIT-compiled when numba is
-available and falls back to pure Python otherwise.
+augmentation sweeps. Two engines produce them, with numpy the only dependency:
+
+    scalar    _fill_block_py steps one stream in a Python loop over its four
+              words; it serves single-stream draws, for which it is faster
+    lockstep  normal_fields steps the streams of a whole batch together: the
+              state is a (4, N) uint64 array, each step is a few in-place
+              numpy ops over all N columns, only s1 is recorded per step, and
+              the scrambler and Box-Muller then run once over the (n, N) block
+
+normal_fields(streams, shape)[j] is bit-identical to
+streams[j].normal_field(shape) and leaves every stream, pending normal
+included, as that call would.
 """
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
-
-try:
-    from numba import njit
-
-    _HAVE_NUMBA = True
-except ImportError:  # pragma: no cover - numba is a hard dep, but degrade politely
-    _HAVE_NUMBA = False
 
 _M64 = 0xFFFFFFFFFFFFFFFF
 _GOLDEN = 0x9E3779B97F4A7C15
@@ -51,7 +56,14 @@ _FNV_PRIME = 0x100000001B3
 _INV_2_53 = 2.0**-53
 _TWO_PI = 2.0 * np.pi
 
-# uint64 constants hoisted so the numba kernel never mixes signed ints in.
+# Streams that normal_fields steps together, and the group size of its
+# callers. A lockstep step costs about the same numpy call overhead for any
+# number of streams, so larger groups are faster per field, but a group's
+# fields and images are held at once: 96 streams of 32x32 fields keep the
+# working set under 1 MB per array.
+LOCKSTEP_STREAMS = 96
+
+# uint64 shift and multiply operands for the array engines.
 _U5 = np.uint64(5)
 _U7 = np.uint64(7)
 _U9 = np.uint64(9)
@@ -82,6 +94,7 @@ def _splitmix64_next(state: int) -> tuple[int, int]:
 
 
 def _fill_block_py(state, out):
+    """Scalar engine: fill out with the next len(out) outputs of one stream."""
     s0, s1, s2, s3 = int(state[0]), int(state[1]), int(state[2]), int(state[3])
     for i in range(out.shape[0]):
         x = (s1 * 5) & _M64
@@ -100,30 +113,48 @@ def _fill_block_py(state, out):
     state[3] = s3
 
 
-if _HAVE_NUMBA:
+def _lockstep_units(states, n: int) -> np.ndarray:
+    """(n, N) uniforms; column j is unit_array(n) of the stream whose four
+    state words are states[:, j]. states, a C-contiguous (4, N) uint64
+    array, is advanced in place."""
+    _, s1, s2, s3 = states
+    low, high, s1_s0 = states[0:2], states[2:4], states[1::-1]
+    block = np.empty((n, states.shape[1]), dtype=np.uint64)
+    t = np.empty_like(s1)
+    for row in block:
+        row[...] = s1
+        np.left_shift(s1, _U17, out=t)
+        high ^= low  # s2 ^= s0; s3 ^= s1
+        s1_s0 ^= high  # s1 ^= s2; s0 ^= s3
+        s2 ^= t
+        np.left_shift(s3, _U45, out=t)
+        s3 >>= _U19
+        s3 |= t
+    # Scramble the recorded s1 history, rotl(s1 * 5, 7) * 9, with the
+    # result's buffer as the scratch array.
+    u = np.empty(block.shape, dtype=np.float64)
+    block *= _U5
+    np.left_shift(block, _U7, out=u.view(np.uint64))
+    block >>= _U57
+    block |= u.view(np.uint64)
+    block *= _U9
+    block >>= _U11
+    u[...] = block
+    u *= _INV_2_53
+    return u
 
-    @njit(cache=True)
-    def _fill_block_nb(state, out):  # pragma: no cover - exercised via goldens
-        s0, s1, s2, s3 = state[0], state[1], state[2], state[3]
-        for i in range(out.shape[0]):
-            x = s1 * _U5
-            x = (x << _U7) | (x >> _U57)
-            out[i] = x * _U9
-            t = s1 << _U17
-            s2 ^= s0
-            s3 ^= s1
-            s1 ^= s2
-            s0 ^= s3
-            s2 ^= t
-            s3 = (s3 << _U45) | (s3 >> _U19)
-        state[0] = s0
-        state[1] = s1
-        state[2] = s2
-        state[3] = s3
 
-    _fill_block = _fill_block_nb
-else:
-    _fill_block = _fill_block_py
+def _box_muller(u: np.ndarray) -> np.ndarray:
+    """Normals from uniform pairs along axis 0, written over u: rows 2k and
+    2k+1 become z0 and z1 of the pair in rows 2k and 2k+1. The
+    transcendental functions run on fresh C-contiguous arrays."""
+    u1 = u[0::2]
+    u2 = u[1::2]
+    r = np.sqrt(-2.0 * np.log(1.0 - u1))
+    theta = _TWO_PI * u2
+    u[0::2] = r * np.cos(theta)
+    u[1::2] = r * np.sin(theta)
+    return u
 
 
 class RngStream:
@@ -149,23 +180,7 @@ class RngStream:
         return derive_stream(self.seed, self.index, tag)
 
     def next_u64(self) -> int:
-        s = self._state
-        s0, s1, s2, s3 = int(s[0]), int(s[1]), int(s[2]), int(s[3])
-        x = (s1 * 5) & _M64
-        x = ((x << 7) | (x >> 57)) & _M64
-        result = (x * 9) & _M64
-        t = (s1 << 17) & _M64
-        s2 ^= s0
-        s3 ^= s1
-        s1 ^= s2
-        s0 ^= s3
-        s2 ^= t
-        s3 = ((s3 << 45) | (s3 >> 19)) & _M64
-        s[0] = s0
-        s[1] = s1
-        s[2] = s2
-        s[3] = s3
-        return result
+        return int(self._u64_block(1)[0])
 
     def next_unit(self) -> float:
         """Uniform double in [0, 1) with 53 random bits."""
@@ -204,7 +219,7 @@ class RngStream:
 
     def _u64_block(self, n: int) -> np.ndarray:
         out = np.empty(n, dtype=np.uint64)
-        _fill_block(self._state, out)
+        _fill_block_py(self._state, out)
         return out
 
     def unit_array(self, n: int) -> np.ndarray:
@@ -224,19 +239,10 @@ class RngStream:
         if remaining <= 0:
             return out
         pairs = (remaining + 1) // 2
-        u = self.unit_array(2 * pairs)
-        u1 = u[0::2]
-        u2 = u[1::2]
-        r = np.sqrt(-2.0 * np.log(1.0 - u1))
-        theta = _TWO_PI * u2
-        z0 = r * np.cos(theta)
-        z1 = r * np.sin(theta)
-        inter = np.empty(2 * pairs, dtype=np.float64)
-        inter[0::2] = z0
-        inter[1::2] = z1
-        out[k:] = inter[:remaining]
+        z = _box_muller(self.unit_array(2 * pairs))
+        out[k:] = z[:remaining]
         if remaining % 2 == 1:
-            self._pending_normal = float(z1[-1])
+            self._pending_normal = float(z[-1])
         return out
 
     def normal_field(self, shape) -> np.ndarray:
@@ -262,3 +268,45 @@ def derive_stream(seed: int, index: int, tag: str) -> RngStream:
     if not any(words):
         words[0] = _GOLDEN  # xoshiro must not start all-zero
     return RngStream(words, seed, index, tag)
+
+
+def _lockstep_normals(streams: list, n: int) -> np.ndarray:
+    """(N, n) normals for streams without a pending normal, n >= 1."""
+    states = np.stack([s._state for s in streams], axis=1)
+    z = _box_muller(_lockstep_units(states, n + n % 2))
+    for j, stream in enumerate(streams):
+        stream._state[:] = states[:, j]
+        if n % 2:
+            stream._pending_normal = float(z[-1, j])
+    return z[:n].T
+
+
+def lockstep_groups(n: int, multiple: int = 1) -> list:
+    """Consecutive ranges covering range(n), each the largest multiple of
+    `multiple` that fits in LOCKSTEP_STREAMS (at least one multiple) except
+    possibly the last, so callers can draw whole batches' fields together."""
+    size = multiple * max(1, LOCKSTEP_STREAMS // multiple)
+    return [range(start, min(n, start + size)) for start in range(0, n, size)]
+
+
+def normal_fields(streams, shape) -> np.ndarray:
+    """Normal fields of many streams at once, shape (len(streams),) + shape.
+
+    Entry j, and the state each stream is left in, equal those of
+    streams[j].normal_field(shape). Streams are stepped in lockstep,
+    LOCKSTEP_STREAMS at a time; a stream holding a pending normal emits it
+    first and joins a second lockstep for its remaining n - 1 values.
+    """
+    streams = list(streams)
+    n = math.prod(int(dim) for dim in shape)
+    out = np.empty((len(streams), n), dtype=np.float64)
+    for group in lockstep_groups(len(streams) if n else 0):
+        fresh = [j for j in group if streams[j]._pending_normal is None]
+        held = [j for j in group if streams[j]._pending_normal is not None]
+        for j in held:
+            out[j, 0] = streams[j]._pending_normal
+            streams[j]._pending_normal = None
+        for rows, count in ((fresh, n), (held, n - 1)):
+            if rows and count:
+                out[rows, n - count:] = _lockstep_normals([streams[j] for j in rows], count)
+    return out.reshape((len(streams),) + tuple(shape))

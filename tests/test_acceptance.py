@@ -55,7 +55,7 @@ from robustaug.cli import main as cli_main
 
 
 def _report(num, name, ok, detail=""):
-    print(f"criterion {num} ({name}): {'PASS' if ok else 'FAIL'}")
+    print(f"criterion {num} ({name}): {'PASS' if ok else 'FAIL'} {detail}".rstrip())
     assert ok, f"criterion {num} ({name}) failed {detail}"
 
 

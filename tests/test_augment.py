@@ -4,6 +4,8 @@ import numpy as np
 import pytest
 
 from robustaug.augment import (
+    KINDS,
+    ORDERS,
     AugmentSpec,
     PatchRect,
     apply_augment,
@@ -16,6 +18,7 @@ from robustaug.augment import (
     patch_gaussian_kernel,
     rect_from_center,
     run_pipeline,
+    run_pipeline_batch,
     sample_patch_bounds,
 )
 from robustaug.parallel import indexed_map
@@ -400,6 +403,24 @@ def test_pipeline_parallel_map_equals_sequential():
     par = indexed_map(work, len(images), workers=4)
     for s, p in zip(seq, par):
         assert np.array_equal(s, p)
+
+
+@pytest.mark.parametrize("kind", KINDS)
+@pytest.mark.parametrize("order", ORDERS)
+@pytest.mark.parametrize("pad", [0, 4])
+@pytest.mark.parametrize("channels", [1, 3])
+def test_pipeline_batch_matches_per_image_pipeline(kind, order, pad, channels):
+    spec = AugmentSpec(kind=kind, sigma_max=1.5, patch_size=5, sample_up_to=kind == "patch_gaussian",
+                       fill=(0.25,) * channels, order=order, pad=pad)
+    rng = np.random.default_rng(16 + channels)
+    for size in (1, 15, 17):
+        # 9x7 images: odd-sized fields and patches clipped at the border.
+        images = rng.random((size, 9, 7, channels))
+        streams = [derive_stream(21, i, "batch") for i in range(size)]
+        batch = run_pipeline_batch(images, spec, streams)
+        single = np.stack([run_pipeline(img, spec, s) for img, s in zip(images, streams)])
+        assert batch.shape == single.shape
+        assert np.array_equal(batch.view(np.uint64), single.view(np.uint64))
 
 
 def test_spec_validation():

@@ -37,6 +37,15 @@ def test_synth_writes_loadable_dataset(tmp_path, capsys):
     assert "wrote 8 synthetic images" in capsys.readouterr().out
 
 
+def test_load_rejects_stale_images_of_a_larger_dataset(tmp_path, capsys):
+    d = make_synth(tmp_path, count=8)
+    assert run("synth", "--output", d, "--seed", 4, "--count", 5) == 0
+    with pytest.raises(ValueError, match="8 .imgt files for 5 labels"):
+        load_dataset(d)
+    assert run("augment", "--input", d, "--output", tmp_path / "aug") == 1
+    assert "8 .imgt files for 5 labels" in capsys.readouterr().err
+
+
 def test_augment_reruns_and_workers_are_byte_identical(tmp_path):
     d = make_synth(tmp_path)
     outs = [tmp_path / f"out{i}" for i in range(3)]

@@ -5,7 +5,7 @@ import os
 import numpy as np
 import pytest
 
-from robustaug.rng import RngStream, derive_stream, _fill_block_py
+from robustaug.rng import LOCKSTEP_STREAMS, derive_stream, lockstep_groups, normal_fields
 
 import rng_reference
 
@@ -85,14 +85,43 @@ def test_unit_array_matches_scalar_calls():
     assert np.array_equal(bulk, scalar)
 
 
-def test_numba_block_matches_python_block():
-    a = derive_stream(17, 2, "blocks")
-    b = derive_stream(17, 2, "blocks")
-    out_a = a._u64_block(1000)
-    out_b = np.empty(1000, dtype=np.uint64)
-    _fill_block_py(b._state, out_b)
-    assert np.array_equal(out_a, out_b)
-    assert np.array_equal(a._state, b._state)
+def _uneven_streams(count):
+    """Streams advanced by different numbers of next_int draws over spans 3,
+    5 and 33 (span 33 rejects about half its draws); every fifth one holds a
+    pending normal."""
+    streams = []
+    for j in range(count):
+        stream = derive_stream(17, j, "lockstep")
+        for _ in range(j % 4):
+            stream.next_int(0, (2, 4, 32)[j % 3])
+        if j % 5 == 0:
+            stream.next_normal()
+        streams.append(stream)
+    return streams
+
+
+@pytest.mark.parametrize("count", [1, 7, 16, 130])
+def test_lockstep_fields_match_scalar_fields(count):
+    lockstep = _uneven_streams(count)
+    scalar = _uneven_streams(count)
+    # 105 values is odd: a stream without a pending normal ends the first
+    # field holding one, which the second field must emit first.
+    for shape in ((5, 7, 3), (32, 32, 1)):
+        got = normal_fields(lockstep, shape)
+        want = np.stack([s.normal_field(shape) for s in scalar])
+        assert got.shape == (count,) + shape
+        assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
+        for a, b in zip(lockstep, scalar):
+            assert np.array_equal(a._state, b._state)
+            assert a._pending_normal == b._pending_normal
+
+
+def test_lockstep_groups_cover_whole_batches():
+    for n, multiple in ((0, 1), (5, 1), (300, 16), (300, 7), (300, 500)):
+        groups = lockstep_groups(n, multiple)
+        assert [i for g in groups for i in g] == list(range(n))
+        size = multiple * max(1, LOCKSTEP_STREAMS // multiple)
+        assert all(len(g) == size for g in groups[:-1])
 
 
 def test_int_degenerate_range_consumes_nothing():
