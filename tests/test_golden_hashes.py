@@ -6,7 +6,9 @@ digest with the value recorded from the scalar RNG engine, so an engine or
 batching change that moves a single bit fails here. The cases cover more
 images than one lockstep group (train on 300 examples, synth and suite on
 150 and 140), odd batch sizes, odd field sizes (a pending normal between
-draws), both pipeline orders and pad 0 and 4.
+draws), both pipeline orders and pad 0 and 4. The feature-layer cases
+(heatmaps, predict labels, the 3-channel flip-only checkpoint) cover more
+images than two feature chunks and batches that do not divide the dataset.
 """
 
 import hashlib
@@ -17,8 +19,9 @@ import pytest
 from robustaug.augment import AugmentSpec, run_pipeline
 from robustaug.cli import main as cli_main
 from robustaug.corrupt import gaussian_eval_suite
-from robustaug.images import channel_mean
-from robustaug.model import TrainConfig, encode_model, init_toy_model, synth_dataset, train
+from robustaug.fourier import format_heatmap_csv, half_plane_frequencies, sensitivity_heatmap
+from robustaug.images import LabeledDataset, channel_mean
+from robustaug.model import TrainConfig, encode_model, init_toy_model, predict, synth_dataset, train
 from robustaug.rng import derive_stream
 
 
@@ -138,3 +141,56 @@ def test_gaussian_eval_suite_digest():
 
 def test_cli_augment_tree_digest(tmp_path):
     assert cli_augment_digest(tmp_path) == CLI_AUGMENT_DIGEST
+
+
+def color_dataset(seed: int, n: int) -> LabeledDataset:
+    """n random 3-channel 12x12 images whose label i % 3 names a brighter channel."""
+    labels = np.arange(n) % 3
+    images = 0.7 * np.random.default_rng(seed).random((n, 12, 12, 3))
+    images[..., :] += 0.3 * np.eye(3)[labels][:, None, None, :]
+    return LabeledDataset(images, labels)
+
+
+FLIP_ONLY_COLOR_DIGEST = "678072f1b509ca2070dc610e9337db233df03e3b64b1bd6572c86f916b3eeda4"
+PREDICT_COLOR_DIGEST = "57e73c9a28ade3903d3d0830812cbdc2497e0eae99361fa52deb5cf953752f7a"
+
+
+def flip_only_color_model():
+    """The none arm (flips only) on 110 3-channel images in batches of 7, so
+    the last batch of each epoch and of each lockstep group is uneven."""
+    cfg = TrainConfig(epochs=3, learning_rate=0.5, batch_size=7, seed=15, augment=AugmentSpec())
+    return train(init_toy_model(15, 5, 3, 3, 3), color_dataset(15, 110), cfg)
+
+
+def test_flip_only_color_checkpoint_digest():
+    assert hashlib.sha256(encode_model(flip_only_color_model())).hexdigest() == FLIP_ONLY_COLOR_DIGEST
+
+
+def test_predict_color_labels_digest():
+    rng = np.random.default_rng(16)
+    labels = predict(flip_only_color_model(), rng.random((37, 1, 1, 3)) * rng.random((37, 12, 12, 3)))
+    assert len(set(labels.tolist())) == 3
+    assert _sha(labels) == PREDICT_COLOR_DIGEST
+
+
+HEATMAP_DIGESTS = {
+    "first_layer": "a87689a3affb6b7d3829c2609dee0f78228d4a3549ac8ce33210bd1a32bef8af",
+    "test_error": "355487a221c025c20e6a815596dc1ee2641484058162c20ff50793beb62ed90a",
+}
+
+
+def heatmap_csv(probe: str) -> str:
+    """Heatmap of a partly trained 1-channel model (held-out error 0.3, so
+    the test errors differ between frequencies) on 40 synth images, more
+    than two feature chunks, over the 15 half-plane frequencies within
+    magnitude 3."""
+    d = synth_dataset(17, 40)
+    cfg = TrainConfig(epochs=40, learning_rate=0.2, batch_size=16, seed=17)
+    m = train(init_toy_model(17, 8, 1, 4, 2), synth_dataset(18, 64), cfg)
+    freqs = [(i, j) for i, j in half_plane_frequencies(32, 32) if np.hypot(i, j) <= 3]
+    return format_heatmap_csv(sensitivity_heatmap(m, d, 4.0, probe, seed=19, freqs=freqs))
+
+
+@pytest.mark.parametrize("probe", sorted(HEATMAP_DIGESTS))
+def test_heatmap_csv_digest(probe):
+    assert hashlib.sha256(heatmap_csv(probe).encode("ascii")).hexdigest() == HEATMAP_DIGESTS[probe]
