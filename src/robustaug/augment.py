@@ -178,6 +178,27 @@ def apply_patch_gaussian(img: np.ndarray, spec: AugmentSpec, rng: RngStream) -> 
     return patch_gaussian_kernel(img, rect, sigma, noise)
 
 
+def mirror(images: np.ndarray) -> np.ndarray:
+    """Horizontal flip of an (h, w, c) image or an (n, h, w, c) stack (a view)."""
+    return images[..., ::-1, :]
+
+
+def draw_flip(rng: RngStream) -> bool:
+    """The flip decision, the first draw of flip_and_crop."""
+    return rng.next_unit() < 0.5
+
+
+def flip_only(spec: AugmentSpec) -> bool:
+    """Whether run_pipeline can only mirror an image: no noise op, no crop."""
+    return spec.kind == "none" and spec.pad == 0
+
+
+def pipeline_flips(rng: RngStream) -> bool:
+    """Whether run_pipeline(img, spec, rng) returns mirror(img) under a
+    flip_only spec (otherwise it returns img unchanged)."""
+    return draw_flip(rng.derive("flipcrop"))
+
+
 def flip_and_crop(img: np.ndarray, pad: int, rng: RngStream) -> np.ndarray:
     """Random horizontal flip, zero-pad by `pad`, crop back to size.
 
@@ -187,7 +208,7 @@ def flip_and_crop(img: np.ndarray, pad: int, rng: RngStream) -> np.ndarray:
     right and bottom; offsets (2*pad, 2*pad) push it fully down-right.
     """
     h, w, c = img.shape
-    flipped = img[:, ::-1, :] if rng.next_unit() < 0.5 else img
+    flipped = mirror(img) if draw_flip(rng) else img
     if pad == 0:
         return flipped.copy()
     ox = rng.next_int(0, 2 * pad)

@@ -99,6 +99,8 @@ def load_dataset(path) -> LabeledDataset:
 
 
 def write_dataset(d: LabeledDataset, out_dir) -> None:
+    """Write d as out_dir/NNNNN.imgt plus labels.txt, then delete the image
+    files a larger dataset left there, so load_dataset reads d back."""
     # encode everything before the first write so failures leave no files
     files = [(_image_name(i), encode_tensor(d.images[i])) for i in range(len(d))]
     files.append(("labels.txt", ("\n".join(str(int(x)) for x in d.labels) + "\n").encode("ascii")))
@@ -106,6 +108,9 @@ def write_dataset(d: LabeledDataset, out_dir) -> None:
     out.mkdir(parents=True, exist_ok=True)
     for name, data in files:
         _atomic_write(out / name, data)
+    for path in out.glob("*.imgt"):
+        if path.stem.isdigit() and int(path.stem) >= len(d) and path.name == _image_name(int(path.stem)):
+            path.unlink()
 
 
 def _write_report(args, report: dict) -> None:

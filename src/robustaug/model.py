@@ -17,7 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .augment import AugmentSpec, run_pipeline_batch
+from .augment import AugmentSpec, flip_only, mirror, pipeline_flips, run_pipeline_batch
 from .images import LabeledDataset, clip_unit
 from .rng import derive_stream, lockstep_groups, normal_fields
 
@@ -35,6 +35,12 @@ BACKGROUND_SIGMA = 0.05
 # (period <= 4 px), so a radius-6 band split separates the classes cleanly.
 LOW_FREQS = ((0, 1), (1, 0), (1, 1), (1, -1), (0, 2), (2, 0))
 HIGH_FREQS = ((0, 8), (8, 0), (6, 6), (8, 4), (4, 8), (10, 0), (0, 10), (6, 8), (8, 6))
+
+# Images per convolution in _features.  A chunk's taps and activations are
+# one training batch's working set (about 6 MB for 16 32x32 images and 48
+# filters), so features of any number of images never need more, and the
+# features of an image do not depend on the other images of its chunk.
+FEATURE_CHUNK = 16
 
 
 @dataclass
@@ -129,7 +135,8 @@ def _conv_relu(m: ToyModel, images: np.ndarray) -> np.ndarray:
             taps[:, :, :, dy, dx, :] = padded[:, dy:dy + h, dx:dx + w, :]
     k = len(m.filters)
     acts = taps.reshape(n * h * w, 9 * c) @ m.filters.reshape(k, 9 * c).T
-    return np.maximum(acts.reshape(n, h, w, k), 0.0)
+    np.maximum(acts, 0.0, out=acts)
+    return acts.reshape(n, h, w, k)
 
 
 def _pool(acts: np.ndarray, g: int) -> np.ndarray:
@@ -149,9 +156,14 @@ def _pool(acts: np.ndarray, g: int) -> np.ndarray:
     return out.reshape(n, g * g * k)
 
 
-def _features(m: ToyModel, images: np.ndarray) -> np.ndarray:
-    feats = _pool(_conv_relu(m, images), m.pool_grid)
-    return np.concatenate([feats, np.ones((len(feats), 1))], axis=1)
+def _features(m: ToyModel, images) -> np.ndarray:
+    """Pooled activations plus a trailing bias column of ones, one row per
+    image, convolved FEATURE_CHUNK images at a time."""
+    feats = np.ones((len(images), m.head.shape[0]))
+    for start in range(0, len(images), FEATURE_CHUNK):
+        chunk = slice(start, start + FEATURE_CHUNK)
+        feats[chunk, :-1] = _pool(_conv_relu(m, images[chunk]), m.pool_grid)
+    return feats
 
 
 def forward(m: ToyModel, img: np.ndarray):
@@ -160,8 +172,9 @@ def forward(m: ToyModel, img: np.ndarray):
     if img.ndim != 3:
         raise ValueError("shape mismatch")
     acts = _conv_relu(m, img[None])
-    logits = _features(m, img[None]) @ m.head
-    return logits[0], acts[0]
+    feats = np.ones((1, m.head.shape[0]))
+    feats[:, :-1] = _pool(acts, m.pool_grid)
+    return (feats @ m.head)[0], acts[0]
 
 
 def predict(m: ToyModel, images) -> np.ndarray:
@@ -220,12 +233,21 @@ def train(m: ToyModel, d: LabeledDataset, cfg: TrainConfig) -> ToyModel:
     example and epoch, never on batch composition.  The permuted order is
     augmented in groups of whole batches (lockstep_groups), whose noise
     fields are drawn together; each batch then takes its own step.
+
+    Under a flip_only pipeline (kind "none", pad 0) every example is either
+    itself or its mirror, so the features of both variants are computed once
+    and each batch reads its rows from that cache of
+    2 * n * (k * pool_grid**2 + 1) * 8 bytes. Any other pipeline convolves
+    each group's augmented images. Both give the same rows bit for bit.
     """
     n = len(d)
     if n == 0:
         raise ValueError("empty dataset")
     labels = _check_labels(d.labels, m.classes)
     head = m.head.copy()
+    cache = None
+    if flip_only(cfg.augment):
+        cache = np.stack([_features(m, d.images), _features(m, mirror(d.images))])
     for epoch in range(cfg.epochs):
         order = np.arange(n)
         shuffle = derive_stream(cfg.seed, epoch, "shuffle")
@@ -234,15 +256,14 @@ def train(m: ToyModel, d: LabeledDataset, cfg: TrainConfig) -> ToyModel:
             order[i], order[j] = order[j], order[i]
         for group in lockstep_groups(n, cfg.batch_size):
             group_idx = order[group.start:group.stop]
-            augmented = run_pipeline_batch(
-                [d.images[t] for t in group_idx],
-                cfg.augment,
-                [derive_stream(cfg.seed, int(t), f"ep{epoch}") for t in group_idx],
-            )
+            streams = [derive_stream(cfg.seed, int(t), f"ep{epoch}") for t in group_idx]
+            if cache is None:
+                feats = _features(m, run_pipeline_batch([d.images[t] for t in group_idx], cfg.augment, streams))
+            else:
+                feats = cache[[int(pipeline_flips(s)) for s in streams], group_idx]
             for start in range(0, len(group_idx), cfg.batch_size):
-                idx = group_idx[start:start + cfg.batch_size]
-                feats = _features(m, augmented[start:start + cfg.batch_size])
-                head -= cfg.learning_rate * _ce_gradient(feats, head, labels[idx])
+                batch = slice(start, start + cfg.batch_size)
+                head -= cfg.learning_rate * _ce_gradient(feats[batch], head, labels[group_idx[batch]])
     return ToyModel(filters=m.filters, head=head, pool_grid=m.pool_grid)
 
 

@@ -15,7 +15,10 @@ from robustaug.augment import (
     apply_patch_gaussian,
     cutout_kernel,
     flip_and_crop,
+    flip_only,
+    mirror,
     patch_gaussian_kernel,
+    pipeline_flips,
     rect_from_center,
     run_pipeline,
     run_pipeline_batch,
@@ -348,6 +351,26 @@ def test_pipeline_none_pad_zero_identity():
     img = np.random.default_rng(11).random((6, 6, 3))
     out = run_pipeline(img, AugmentSpec(kind="none", pad=0), derive_stream(seed, 0, ""))
     assert np.array_equal(out, img)
+
+
+@pytest.mark.parametrize("order", ORDERS)
+def test_pipeline_flips_agrees_with_run_pipeline(order):
+    img = np.random.default_rng(13).random((5, 4, 3))
+    spec = AugmentSpec(order=order)
+    assert flip_only(spec)
+    flips = 0
+    for i in range(200):
+        flipped = pipeline_flips(derive_stream(21, i, "flips"))
+        out = run_pipeline(img, spec, derive_stream(21, i, "flips"))
+        assert np.array_equal(out, mirror(img) if flipped else img)
+        flips += flipped
+    assert 60 < flips < 140
+
+
+def test_flip_only_reads_kind_and_pad():
+    assert not flip_only(AugmentSpec(pad=1))
+    assert not flip_only(AugmentSpec(kind="gaussian"))
+    assert not flip_only(AugmentSpec(kind="cutout", fill=(0.5,)))
 
 
 def test_pipeline_matches_bare_augmentation_when_flip_off():

@@ -38,12 +38,24 @@ def test_synth_writes_loadable_dataset(tmp_path, capsys):
 
 
 def test_load_rejects_stale_images_of_a_larger_dataset(tmp_path, capsys):
-    d = make_synth(tmp_path, count=8)
-    assert run("synth", "--output", d, "--seed", 4, "--count", 5) == 0
+    d = make_synth(tmp_path, count=5)
+    for i in (5, 6, 7):  # what a larger dataset would have left behind
+        (d / f"{i:05d}.imgt").write_bytes((d / "00000.imgt").read_bytes())
     with pytest.raises(ValueError, match="8 .imgt files for 5 labels"):
         load_dataset(d)
     assert run("augment", "--input", d, "--output", tmp_path / "aug") == 1
     assert "8 .imgt files for 5 labels" in capsys.readouterr().err
+
+
+def test_smaller_dataset_replaces_a_larger_one(tmp_path):
+    d = make_synth(tmp_path, count=8)
+    (d / "notes.imgt").write_bytes(b"kept")
+    assert run("synth", "--output", d, "--seed", 4, "--count", 5) == 0
+    assert (d / "notes.imgt").read_bytes() == b"kept"
+    (d / "notes.imgt").unlink()
+    fresh = make_synth(tmp_path, name="fresh", count=5, seed=4)
+    assert load_dataset(d).images.shape == (5, 32, 32, 1)
+    assert dir_bytes(d) == dir_bytes(fresh)
 
 
 def test_augment_reruns_and_workers_are_byte_identical(tmp_path):

@@ -12,6 +12,7 @@ from robustaug.model import (
     TOYM_MAGIC,
     ToyModel,
     TrainConfig,
+    _features,
     cross_entropy,
     decode_model,
     encode_model,
@@ -120,6 +121,16 @@ def test_feature_order_and_bias():
     assert np.max(np.abs(logits - [0.1, 0.2, 0.3, 0.4, 1.0])) < 1e-12
 
 
+@pytest.mark.parametrize("h,w,g", [(32, 32, 4), (13, 11, 3)])
+@pytest.mark.parametrize("channels", [1, 3])
+@pytest.mark.parametrize("n", [1, 16, 17, 37])
+def test_chunked_features_match_one_image_at_a_time(n, channels, h, w, g):
+    m = init_toy_model(6, k=5, c=channels, g=g, classes=2)
+    images = np.random.default_rng(n * channels).random((n, h, w, channels))
+    want = np.concatenate([_features(m, img[None]) for img in images])
+    assert np.array_equal(_features(m, images), want)
+
+
 def test_forward_shape_checks():
     m = init_toy_model(0, k=2, c=1, g=2, classes=2)
     with pytest.raises(ValueError, match="shape mismatch"):
@@ -218,6 +229,19 @@ def test_train_bit_reproducible():
     a = train(m, d, cfg)
     b = train(m, d, cfg)
     assert np.array_equal(a.head, b.head)
+
+
+def test_flip_only_feature_cache_matches_per_batch_features():
+    """Zero-sigma Gaussian noise leaves every pixel as it is but is not
+    flip_only, so its head comes from per-batch features of the same images
+    that the none arm reads from its feature cache."""
+    d = LabeledDataset(np.random.default_rng(5).random((40, 9, 9, 3)), np.arange(40) % 2)
+    m = init_toy_model(4, k=3, c=3, g=2, classes=2)
+    heads = []
+    for spec in (AugmentSpec(), AugmentSpec(kind="gaussian", sigma_max=0.0)):
+        cfg = TrainConfig(epochs=3, learning_rate=0.5, batch_size=7, seed=2, augment=spec)
+        heads.append(train(m, d, cfg).head)
+    assert np.array_equal(heads[0], heads[1])
 
 
 def test_train_augmentation_changes_outcome():
