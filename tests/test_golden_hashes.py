@@ -147,7 +147,7 @@ def color_dataset(seed: int, n: int) -> LabeledDataset:
     """n random 3-channel 12x12 images whose label i % 3 names a brighter channel."""
     labels = np.arange(n) % 3
     images = 0.7 * np.random.default_rng(seed).random((n, 12, 12, 3))
-    images[..., :] += 0.3 * np.eye(3)[labels][:, None, None, :]
+    images += 0.3 * np.eye(3)[labels][:, None, None, :]
     return LabeledDataset(images, labels)
 
 
