@@ -9,6 +9,8 @@ images than one lockstep group (train on 300 examples, synth and suite on
 draws), both pipeline orders and pad 0 and 4. The feature-layer cases
 (heatmaps, predict labels, the 3-channel flip-only checkpoint) cover more
 images than two feature chunks and batches that do not divide the dataset.
+The 3-channel patch checkpoint and the CLI gaussian_noise tree cover uneven
+lockstep groups, crop rejection and a pending normal on the batch paths.
 """
 
 import hashlib
@@ -18,6 +20,7 @@ import pytest
 
 from robustaug.augment import AugmentSpec, run_pipeline
 from robustaug.cli import main as cli_main
+from robustaug.cli import write_dataset
 from robustaug.corrupt import gaussian_eval_suite
 from robustaug.fourier import format_heatmap_csv, half_plane_frequencies, sensitivity_heatmap
 from robustaug.images import LabeledDataset, channel_mean
@@ -117,18 +120,22 @@ def suite_digest() -> str:
                 *[s.labels for _, s in suite])
 
 
+def tree_digest(root) -> str:
+    h = hashlib.sha256()
+    for path in sorted(p for p in root.rglob("*") if p.is_file()):
+        data_bytes = path.read_bytes()
+        h.update(f"{path.relative_to(root).as_posix()}\0{len(data_bytes)}\0".encode("utf-8"))
+        h.update(data_bytes)
+    return h.hexdigest()
+
+
 def cli_augment_digest(tmp_path) -> str:
     data, out = tmp_path / "data", tmp_path / "aug"
     assert cli_main(["synth", "--output", str(data), "--seed", "13", "--count", "20"]) == 0
     assert cli_main(["augment", "--input", str(data), "--output", str(out), "--seed", "14",
                      "--kind", "patch_gaussian", "--sigma-max", "2.0", "--patch-size", "12",
                      "--sample-up-to", "--pad", "2", "--order", "flipcrop_then_augment"]) == 0
-    h = hashlib.sha256()
-    for path in sorted(p for p in out.rglob("*") if p.is_file()):
-        data_bytes = path.read_bytes()
-        h.update(f"{path.relative_to(out).as_posix()}\0{len(data_bytes)}\0".encode("utf-8"))
-        h.update(data_bytes)
-    return h.hexdigest()
+    return tree_digest(out)
 
 
 def test_synth_dataset_digest():
@@ -141,6 +148,24 @@ def test_gaussian_eval_suite_digest():
 
 def test_cli_augment_tree_digest(tmp_path):
     assert cli_augment_digest(tmp_path) == CLI_AUGMENT_DIGEST
+
+
+CLI_GAUSSIAN_NOISE_DIGEST = "9f5f4dee831f74433d5e3c0e94fae059f5a126875ba18240d6821873ee8f165b"
+
+
+def cli_gaussian_noise_digest(tmp_path) -> str:
+    """corrupt --kind gaussian_noise on 101 random 9x7x3 images with 2
+    workers: two lockstep groups, the second uneven, and a 189-value field
+    that leaves a pending normal."""
+    data, out = tmp_path / "data", tmp_path / "noisy"
+    write_dataset(LabeledDataset(np.random.default_rng(22).random((101, 9, 7, 3)), np.arange(101) % 2), data)
+    assert cli_main(["corrupt", "--input", str(data), "--output", str(out), "--seed", "23",
+                     "--kind", "gaussian_noise", "--severity", "5", "--workers", "2"]) == 0
+    return tree_digest(out)
+
+
+def test_cli_gaussian_noise_tree_digest(tmp_path):
+    assert cli_gaussian_noise_digest(tmp_path) == CLI_GAUSSIAN_NOISE_DIGEST
 
 
 def color_dataset(seed: int, n: int) -> LabeledDataset:
@@ -160,6 +185,22 @@ def flip_only_color_model():
     the last batch of each epoch and of each lockstep group is uneven."""
     cfg = TrainConfig(epochs=3, learning_rate=0.5, batch_size=7, seed=15, augment=AugmentSpec())
     return train(init_toy_model(15, 5, 3, 3, 3), color_dataset(15, 110), cfg)
+
+
+PATCH_COLOR_DIGEST = "a7b85b7e0b68652d3eab5910ab79a7c3a9c6917a41aa2c981f0e9cb8c5c05c2f"
+
+
+def patch_color_model():
+    """The patch arm with sizes sampled up to 6 on 130 3-channel images in
+    batches of 7 with pad 4: uneven batches and lockstep groups, and crop
+    offsets over span 9, which rejects almost half its draws."""
+    spec = AugmentSpec(kind="patch_gaussian", sigma_max=1.5, patch_size=6, sample_up_to=True, pad=4)
+    cfg = TrainConfig(epochs=2, learning_rate=0.5, batch_size=7, seed=20, augment=spec)
+    return train(init_toy_model(20, 5, 3, 3, 3), color_dataset(20, 130), cfg)
+
+
+def test_patch_color_checkpoint_digest():
+    assert hashlib.sha256(encode_model(patch_color_model())).hexdigest() == PATCH_COLOR_DIGEST
 
 
 def test_flip_only_color_checkpoint_digest():
