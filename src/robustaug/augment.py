@@ -20,9 +20,10 @@ are reproducible across processes and implementations:
     flip_and_crop         flip decision (next_unit < 0.5 flips), then crop
                           offset x, then y (next_int over [0, 2*pad])
 
-run_pipeline_batch is run_pipeline over a batch with one stream per image:
-the scalar draws stay per image, and the noise fields of the whole batch
-come from one lockstep rng.normal_fields call.
+run_pipeline_batch is run_pipeline over a batch of origins (seed, index,
+tag) that builds no stream per image: it derives the state arrays of the
+batch's "aug" and "flipcrop" children, makes each draw above for the whole
+batch in lockstep, and applies each kernel to the whole batch at once.
 
 The noisy copy is clipped to [0, 1] before the patch is combined with the
 original, so border pixels of the patch never exceed the unit range. All
@@ -37,7 +38,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .images import clip_unit
-from .rng import RngStream, normal_fields
+from .rng import RngStream, child_tag_of, derive_states, lockstep_fields, next_ints, next_units
 
 KINDS = ("none", "gaussian", "cutout", "patch_gaussian")
 ORDERS = ("augment_then_flipcrop", "flipcrop_then_augment")
@@ -160,20 +161,15 @@ def apply_cutout(img: np.ndarray, spec: AugmentSpec, rng: RngStream) -> np.ndarr
     return cutout_kernel(img, rect, spec.fill)
 
 
-def _patch_draws(shape, spec: AugmentSpec, rng: RngStream) -> tuple[PatchRect, float]:
-    """The draws of apply_patch_gaussian that precede its noise field."""
-    h, w, _ = shape
+def apply_patch_gaussian(img: np.ndarray, spec: AugmentSpec, rng: RngStream) -> np.ndarray:
+    """Square patch of Gaussian noise; see the module draw-order table."""
+    h, w, _ = img.shape
     patch = spec.patch_size
     if spec.sample_up_to:
         # Inclusive upper end: the configured size is the maximum.
         patch = rng.next_int(1, spec.patch_size)
     rect = sample_patch_bounds(rng, h, w, patch)
-    return rect, spec.sigma_max * rng.next_unit()
-
-
-def apply_patch_gaussian(img: np.ndarray, spec: AugmentSpec, rng: RngStream) -> np.ndarray:
-    """Square patch of Gaussian noise; see the module draw-order table."""
-    rect, sigma = _patch_draws(img.shape, spec, rng)
+    sigma = spec.sigma_max * rng.next_unit()
     noise = rng.normal_field(img.shape)
     return patch_gaussian_kernel(img, rect, sigma, noise)
 
@@ -183,20 +179,15 @@ def mirror(images: np.ndarray) -> np.ndarray:
     return images[..., ::-1, :]
 
 
-def draw_flip(rng: RngStream) -> bool:
-    """The flip decision, the first draw of flip_and_crop."""
-    return rng.next_unit() < 0.5
+def draw_flips(states) -> np.ndarray:
+    """The flip decisions of flip_and_crop, its first draw, for the columns
+    of a "flipcrop" state array."""
+    return next_units(states) < 0.5
 
 
 def flip_only(spec: AugmentSpec) -> bool:
     """Whether run_pipeline can only mirror an image: no noise op, no crop."""
     return spec.kind == "none" and spec.pad == 0
-
-
-def pipeline_flips(rng: RngStream) -> bool:
-    """Whether run_pipeline(img, spec, rng) returns mirror(img) under a
-    flip_only spec (otherwise it returns img unchanged)."""
-    return draw_flip(rng.derive("flipcrop"))
 
 
 def flip_and_crop(img: np.ndarray, pad: int, rng: RngStream) -> np.ndarray:
@@ -208,7 +199,7 @@ def flip_and_crop(img: np.ndarray, pad: int, rng: RngStream) -> np.ndarray:
     right and bottom; offsets (2*pad, 2*pad) push it fully down-right.
     """
     h, w, c = img.shape
-    flipped = mirror(img) if draw_flip(rng) else img
+    flipped = mirror(img) if rng.next_unit() < 0.5 else img
     if pad == 0:
         return flipped.copy()
     ox = rng.next_int(0, 2 * pad)
@@ -245,35 +236,74 @@ def run_pipeline(img: np.ndarray, spec: AugmentSpec, rng: RngStream) -> np.ndarr
     return apply_augment(out, spec, rng.derive("aug"))
 
 
-def run_pipeline_batch(images, spec: AugmentSpec, streams) -> np.ndarray:
+def _rect_masks(states, h: int, w: int, patch) -> np.ndarray:
+    """(n, h, w) masks of the rects sample_patch_bounds draws from the
+    columns of a state array; patch is an int or one size per column."""
+    if h < 1 or w < 1:
+        raise ValueError("image extent must be >= 1")
+    cx = next_ints(states, 0, w - 1)
+    cy = next_ints(states, 0, h - 1)
+    lo = np.asarray(patch) // 2
+    hi = patch - lo
+    rows = np.arange(h) - cy[:, None]
+    cols = np.arange(w) - cx[:, None]
+    in_rows = (rows >= -lo[..., None]) & (rows < hi[..., None])
+    in_cols = (cols >= -lo[..., None]) & (cols < hi[..., None])
+    return in_rows[:, :, None] & in_cols[:, None, :]
+
+
+def _augment_batch(images: np.ndarray, spec: AugmentSpec, states) -> np.ndarray:
+    """apply_augment over a batch whose "aug" draws come from the columns of
+    states; all prefix draws precede the lockstep noise fields."""
+    _, h, w, c = images.shape
+    if spec.kind == "none":
+        return images
+    if spec.kind == "cutout":
+        if len(spec.fill) == 0:
+            raise ValueError("cutout requires a fill color")
+        mask = _rect_masks(states, h, w, spec.patch_size)
+        return np.where(mask[..., None], np.asarray(spec.fill, dtype=np.float64), images)
+    mask = None
+    if spec.kind == "patch_gaussian":
+        # Inclusive upper end: the configured size is the maximum.
+        patch = next_ints(states, 1, spec.patch_size) if spec.sample_up_to else spec.patch_size
+        mask = _rect_masks(states, h, w, patch)
+    sigma = spec.sigma_max * next_units(states)
+    noisy = clip_unit(images + sigma[:, None, None, None] * lockstep_fields(states, (h, w, c)))
+    return noisy if mask is None else np.where(mask[..., None], noisy, images)
+
+
+def _flip_and_crop_batch(images: np.ndarray, flips: np.ndarray, pad: int, offsets) -> np.ndarray:
+    """flip_and_crop over a batch with drawn flips and (ox, oy) offsets."""
+    n, h, w, c = images.shape
+    flipped = np.where(flips[:, None, None, None], mirror(images), images)
+    if pad == 0:
+        return flipped
+    padded = np.zeros((n, h + 2 * pad, w + 2 * pad, c))
+    padded[:, pad:pad + h, pad:pad + w] = flipped
+    ox, oy = offsets
+    rows = (2 * pad - oy)[:, None] + np.arange(h)
+    cols = (2 * pad - ox)[:, None] + np.arange(w)
+    return padded[np.arange(n)[:, None, None], rows[:, :, None], cols[:, None, :]]
+
+
+def run_pipeline_batch(images, spec: AugmentSpec, seed: int, indices, tag: str) -> np.ndarray:
     """run_pipeline over a non-empty batch of equally shaped images: entry i
     of the result is bit-identical to run_pipeline(images[i], spec,
-    streams[i]).
+    derive_stream(seed, indices[i], tag)).
 
-    The "aug" and "flipcrop" child streams are independent, so the noise
-    kinds can make every image's draws before its field, draw all fields in
-    one normal_fields call, and only then run the stages image by image.
+    The "aug" and "flipcrop" children are independent, so every draw can be
+    made before any kernel runs. The kernels are elementwise and the flip
+    and crop are gathers, so applying them to the whole batch with
+    per-image masks and offsets changes no bit.
     """
-    aug = [rng.derive("aug") for rng in streams]
-    flipcrop = [rng.derive("flipcrop") for rng in streams]
-    shape = np.shape(images[0])
-    draws = None
-    if spec.kind == "gaussian":
-        # A whole-image rect makes patch_gaussian_kernel apply_gaussian_kernel.
-        whole = PatchRect(0, 0, shape[1], shape[0])
-        draws = [(whole, spec.sigma_max * rng.next_unit()) for rng in aug]
-    elif spec.kind == "patch_gaussian":
-        draws = [_patch_draws(shape, spec, rng) for rng in aug]
-    noise = None if draws is None else normal_fields(aug, shape)
-    out = np.empty((len(aug),) + shape)
-    for i, img in enumerate(images):
-        if spec.order == "flipcrop_then_augment":
-            img = flip_and_crop(img, spec.pad, flipcrop[i])
-        if draws is None:
-            img = apply_augment(img, spec, aug[i])
-        else:
-            img = patch_gaussian_kernel(img, *draws[i], noise[i])
-        if spec.order == "augment_then_flipcrop":
-            img = flip_and_crop(img, spec.pad, flipcrop[i])
-        out[i] = img
-    return out
+    images = np.asarray(images, dtype=np.float64)
+    aug = derive_states(seed, indices, child_tag_of(tag, "aug"))
+    flipcrop = derive_states(seed, indices, child_tag_of(tag, "flipcrop"))
+    flips = draw_flips(flipcrop)
+    offsets = None
+    if spec.pad:
+        offsets = next_ints(flipcrop, 0, 2 * spec.pad), next_ints(flipcrop, 0, 2 * spec.pad)
+    if spec.order == "flipcrop_then_augment":
+        return _augment_batch(_flip_and_crop_batch(images, flips, spec.pad, offsets), spec, aug)
+    return _flip_and_crop_batch(_augment_batch(images, spec, aug), flips, spec.pad, offsets)

@@ -34,8 +34,10 @@ from .corrupt import (
     NOISE_KINDS,
     SIGMA_SUITE,
     CorruptionSpec,
+    checked_param,
     corrupt,
     gaussian_eval_suite,
+    gaussian_noise_images,
     parse_severity_table,
 )
 from .fourier import (
@@ -203,8 +205,7 @@ def cmd_augment(args) -> int:
 
     def work(g):
         rows = groups[g]
-        return run_pipeline_batch(d.images[rows.start:rows.stop], spec,
-                                  [derive_stream(seed, i, "augment") for i in rows])
+        return run_pipeline_batch(d.images[rows.start:rows.stop], spec, seed, rows, "augment")
 
     images = np.concatenate(indexed_map(work, len(groups), workers))
     write_dataset(LabeledDataset(images, d.labels.copy()), _req(args, "output", str))
@@ -233,12 +234,15 @@ def cmd_corrupt(args) -> int:
     )
     table_path = _opt(args, "table", str)
     table = parse_severity_table(Path(table_path).read_text()) if table_path else None
+    tag = f"corrupt/{kind}"
+    if kind == "gaussian_noise":
+        images = gaussian_noise_images(d.images, checked_param(spec, table), seed, tag, workers)
+    else:
+        def work(i):
+            rng = derive_stream(seed, i, tag) if kind in NOISE_KINDS else None
+            return corrupt(d.images[i], spec, rng, table)
 
-    def work(i):
-        rng = derive_stream(seed, i, f"corrupt/{kind}") if kind in NOISE_KINDS else None
-        return corrupt(d.images[i], spec, rng, table)
-
-    images = np.stack(indexed_map(work, len(d), workers))
+        images = np.stack(indexed_map(work, len(d), workers))
     write_dataset(LabeledDataset(images, d.labels.copy()), out)
     print(f"corrupted {len(d)} images ({kind})")
     return 0

@@ -38,7 +38,7 @@ from scipy import stats
 from .augment import apply_gaussian_kernel
 from .images import LabeledDataset, clip_unit
 from .parallel import indexed_map
-from .rng import RngStream, derive_stream, lockstep_groups, normal_fields
+from .rng import RngStream, derive_states, lockstep_fields, lockstep_groups
 
 CORRUPTION_KINDS = (
     "gaussian_noise",
@@ -143,6 +143,13 @@ def resolve_param(spec: CorruptionSpec, table: dict | None = None) -> float:
     return float(table[spec.kind][spec.severity - 1])
 
 
+def checked_param(spec: CorruptionSpec, table: dict | None = None) -> float:
+    """resolve_param, rejecting a parameter outside the kind's domain."""
+    param = resolve_param(spec, table)
+    _check_domain(spec.kind, param)
+    return param
+
+
 def _check_domain(kind: str, param: float) -> None:
     ok = {
         "gaussian_noise": param >= 0,
@@ -214,8 +221,7 @@ def corrupt(
     table: dict | None = None,
 ) -> np.ndarray:
     """Apply one corruption. Noise kinds require an RngStream."""
-    param = resolve_param(spec, table)
-    _check_domain(spec.kind, param)
+    param = checked_param(spec, table)
     if spec.kind in NOISE_KINDS and rng is None:
         raise ValueError(f"{spec.kind} requires an rng stream")
     if spec.kind == "gaussian_noise":
@@ -241,21 +247,25 @@ def gaussian_eval_suite(
     Returns [(sigma, corrupted dataset)] for sigma in SIGMA_SUITE, in that
     order. Image i at sigma s is corrupted with the stream derived from
     (seed, i, "suite/<s>"), so the suite is reproducible image by image.
-    The noise fields of each lockstep group of images are drawn together,
-    and the groups are spread over `workers` threads.
     """
     if len(d) == 0:
         raise ValueError("empty dataset")
-    groups = lockstep_groups(len(d))
-    suite = []
-    for sigma in SIGMA_SUITE:
-        tag = f"suite/{sigma}"
+    return [(sigma, LabeledDataset(gaussian_noise_images(d.images, sigma, seed, f"suite/{sigma}", workers),
+                                   d.labels.copy()))
+            for sigma in SIGMA_SUITE]
 
-        def work(g, sigma=sigma, tag=tag):
-            rows = groups[g]
-            noise = normal_fields([derive_stream(seed, i, tag) for i in rows], d.images.shape[1:])
-            return apply_gaussian_kernel(d.images[rows.start:rows.stop], sigma, noise)
 
-        images = np.concatenate(indexed_map(work, len(groups), workers))
-        suite.append((sigma, LabeledDataset(images, d.labels.copy())))
-    return suite
+def gaussian_noise_images(images: np.ndarray, sigma: float, seed: int, tag: str,
+                          workers: int = 1) -> np.ndarray:
+    """gaussian_noise at parameter sigma on every image, image i drawing its
+    field from the (seed, i, tag) stream: clip(images[i] + sigma * field).
+    The fields of each lockstep group of images are drawn together, and the
+    groups are spread over `workers` threads."""
+    groups = lockstep_groups(len(images))
+
+    def work(g):
+        rows = groups[g]
+        noise = lockstep_fields(derive_states(seed, rows, tag), images.shape[1:])
+        return apply_gaussian_kernel(images[rows.start:rows.stop], sigma, noise)
+
+    return np.concatenate(indexed_map(work, len(groups), workers))

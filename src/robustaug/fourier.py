@@ -21,7 +21,8 @@ import numpy as np
 from .images import LabeledDataset, clip_unit
 from .metrics import accuracy
 from .parallel import indexed_map
-from .rng import derive_stream
+from .model import FEATURE_CHUNK
+from .rng import derive_states, next_units
 
 PROBES = ("test_error", "first_layer")
 
@@ -163,7 +164,11 @@ def sensitivity_heatmap(
 
     freqs defaults to the canonical half plane of the dataset's image grid.
     Per-image streams are derived from (seed, index, "fourier/i,j"), so the
-    result is independent of worker count and frequency order.
+    result is independent of worker count and frequency order; each
+    frequency perturbs all images at once, images[idx] exactly as
+    perturb_with_basis with its stream would. The first_layer probe keeps
+    only per-image activation norms, computing activations FEATURE_CHUNK
+    images at a time.
     """
     if probe not in PROBES:
         raise ValueError(f"unknown probe: {probe}")
@@ -174,24 +179,27 @@ def sensitivity_heatmap(
     n, h, w, _ = d.images.shape
     freq_list = list(freqs) if freqs is not None else half_plane_frequencies(h, w)
 
+    chunks = [slice(start, start + FEATURE_CHUNK) for start in range(0, n, FEATURE_CHUNK)]
+
+    def acts(images):
+        return np.asarray(model.first_layer(images), dtype=np.float64)
+
     if probe == "first_layer":
-        clean_acts = np.asarray(model.first_layer(d.images), dtype=np.float64)
-        clean_norm = float(np.mean(_activation_norms(clean_acts)))
+        clean_norm = float(np.mean(np.concatenate(
+            [_activation_norms(acts(d.images[c])) for c in chunks])))
         if clean_norm <= 0.0:
             raise ValueError("zero clean activation norm")
 
     def probe_frequency(fi):
         i, j = freq_list[fi]
         basis = fourier_basis(h, w, i, j)
-        perturbed = np.empty_like(d.images)
-        for idx in range(n):
-            stream = derive_stream(seed, idx, f"fourier/{i},{j}")
-            perturbed[idx] = perturb_with_basis(d.images[idx], basis, v, stream)
+        # One sign per image, drawn as in perturb_with_basis.
+        signs = np.where(next_units(derive_states(seed, range(n), f"fourier/{i},{j}")) < 0.5, -1.0, 1.0)
+        perturbed = clip_unit(d.images + (signs * v)[:, None, None, None] * basis[None, :, :, None])
         if probe == "test_error":
             return 1.0 - accuracy(model.predict(perturbed), d.labels), None
-        delta = _activation_norms(
-            np.asarray(model.first_layer(perturbed), dtype=np.float64) - clean_acts
-        )
+        delta = np.concatenate(
+            [_activation_norms(acts(perturbed[c]) - acts(d.images[c])) for c in chunks])
         mean_delta = float(np.mean(delta))
         return mean_delta / clean_norm, mean_delta
 
@@ -252,9 +260,17 @@ def parse_heatmap_csv(text: str) -> FourierHeatmap:
     if len(lines) < 2 or not lines[0].startswith("# "):
         raise ValueError("malformed heatmap file")
     meta = dict(part.split("=", 1) for part in lines[0][2:].split())
+    missing = {"probe", "v", "seed"} - meta.keys()
+    if missing:
+        raise ValueError(f"heatmap header lacks {', '.join(sorted(missing))}")
+    if lines[1] not in ("i,j,value", "i,j,value,absolute"):
+        raise ValueError(f"bad heatmap column header: {lines[1]!r}")
+    width = lines[1].count(",") + 1
     grid, absolute = {}, {}
     for ln in lines[2:]:
         cells = ln.split(",")
+        if len(cells) != width:
+            raise ValueError(f"malformed heatmap row: {ln!r}")
         f = (int(cells[0]), int(cells[1]))
         grid[f] = float(cells[2])
         if len(cells) > 3:

@@ -17,9 +17,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .augment import AugmentSpec, flip_only, mirror, pipeline_flips, run_pipeline_batch
+from .augment import AugmentSpec, draw_flips, flip_only, mirror, run_pipeline_batch
 from .images import LabeledDataset, clip_unit
-from .rng import derive_stream, lockstep_groups, normal_fields
+from .rng import child_tag_of, derive_states, derive_stream, lockstep_fields, lockstep_groups, next_ints, next_units
 
 TOYM_MAGIC = b"TOYM"
 _TOYM_VERSION = 1
@@ -35,6 +35,8 @@ BACKGROUND_SIGMA = 0.05
 # (period <= 4 px), so a radius-6 band split separates the classes cleanly.
 LOW_FREQS = ((0, 1), (1, 0), (1, 1), (1, -1), (0, 2), (2, 0))
 HIGH_FREQS = ((0, 8), (8, 0), (6, 6), (8, 4), (4, 8), (10, 0), (0, 10), (6, 8), (8, 6))
+# Both tables in one array: HIGH_FREQS[k] is _FREQS[len(LOW_FREQS) + k].
+_FREQS = np.array(LOW_FREQS + HIGH_FREQS)
 
 # Images per convolution in _features.  A chunk's taps and activations are
 # one training batch's working set (about 6 MB for 16 32x32 images and 48
@@ -237,8 +239,10 @@ def train(m: ToyModel, d: LabeledDataset, cfg: TrainConfig) -> ToyModel:
     Under a flip_only pipeline (kind "none", pad 0) every example is either
     itself or its mirror, so the features of both variants are computed once
     and each batch reads its rows from that cache of
-    2 * n * (k * pool_grid**2 + 1) * 8 bytes. Any other pipeline convolves
-    each group's augmented images. Both give the same rows bit for bit.
+    2 * n * (k * pool_grid**2 + 1) * 8 bytes, by the flip decision, the first
+    draw of each example's "ep<epoch>/flipcrop" stream. Any other pipeline
+    convolves each group's augmented images. Both give the same rows bit for
+    bit.
     """
     n = len(d)
     if n == 0:
@@ -249,18 +253,16 @@ def train(m: ToyModel, d: LabeledDataset, cfg: TrainConfig) -> ToyModel:
     if flip_only(cfg.augment):
         cache = np.stack([_features(m, d.images), _features(m, mirror(d.images))])
     for epoch in range(cfg.epochs):
-        order = np.arange(n)
-        shuffle = derive_stream(cfg.seed, epoch, "shuffle")
-        for i in range(n - 1, 0, -1):
-            j = shuffle.next_int(0, i)
-            order[i], order[j] = order[j], order[i]
+        order = derive_stream(cfg.seed, epoch, "shuffle").permutation(n)
+        tag = f"ep{epoch}"
+        if cache is not None:
+            flips = draw_flips(derive_states(cfg.seed, order, child_tag_of(tag, "flipcrop"))).astype(np.intp)
         for group in lockstep_groups(n, cfg.batch_size):
             group_idx = order[group.start:group.stop]
-            streams = [derive_stream(cfg.seed, int(t), f"ep{epoch}") for t in group_idx]
             if cache is None:
-                feats = _features(m, run_pipeline_batch([d.images[t] for t in group_idx], cfg.augment, streams))
+                feats = _features(m, run_pipeline_batch(d.images[group_idx], cfg.augment, cfg.seed, group_idx, tag))
             else:
-                feats = cache[[int(pipeline_flips(s)) for s in streams], group_idx]
+                feats = cache[flips[group.start:group.stop], group_idx]
             for start in range(0, len(group_idx), cfg.batch_size):
                 batch = slice(start, start + cfg.batch_size)
                 head -= cfg.learning_rate * _ce_gradient(feats[batch], head, labels[group_idx[batch]])
@@ -281,16 +283,15 @@ def synth_dataset(seed: int, n: int, kind: str = "low_freq_vs_high_freq") -> Lab
     images = np.empty((n, size, size, 1))
     labels = np.arange(n, dtype=np.int64) % 2
     for group in lockstep_groups(n):
-        streams = [derive_stream(seed, i, "synth") for i in group]
-        gratings = []
-        for i, stream in zip(group, streams):
-            table = HIGH_FREQS if labels[i] else LOW_FREQS
-            fi, fj = table[stream.next_int(0, len(table) - 1)]
-            gratings.append((fi, fj, 2.0 * np.pi * stream.next_unit()))
-        noise = normal_fields(streams, (size, size, 1))
-        for i, (fi, fj, phase), z in zip(group, gratings, noise):
-            wave = np.cos(2.0 * np.pi * (fi * yy + fj * xx) / size + phase)
-            images[i] = clip_unit(0.5 + GRATING_AMPLITUDE * wave[:, :, None] + BACKGROUND_SIGMA * z)
+        rows = slice(group.start, group.stop)
+        states = derive_states(seed, group, "synth")
+        high = labels[rows] == 1
+        choice = next_ints(states, 0, np.where(high, len(HIGH_FREQS), len(LOW_FREQS)) - 1)
+        fi, fj = _FREQS[np.where(high, len(LOW_FREQS), 0) + choice].T[:, :, None, None]
+        phase = 2.0 * np.pi * next_units(states)
+        noise = lockstep_fields(states, (size, size, 1))
+        wave = np.cos(2.0 * np.pi * (fi * yy + fj * xx) / size + phase[:, None, None])
+        images[rows] = clip_unit(0.5 + GRATING_AMPLITUDE * wave[..., None] + BACKGROUND_SIGMA * noise)
     return LabeledDataset(images, labels)
 
 

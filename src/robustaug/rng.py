@@ -38,6 +38,16 @@ augmentation sweeps. Two engines produce them, with numpy the only dependency:
 normal_fields(streams, shape)[j] is bit-identical to
 streams[j].normal_field(shape) and leaves every stream, pending normal
 included, as that call would.
+
+Derivation has the same two forms. derive_stream builds one RngStream with
+Python integer arithmetic, the cheaper form for a single origin. A batch
+whose streams share seed and tag skips the stream objects: derive_states
+computes the (4, N) state array of N indices with uint64 array arithmetic,
+column j equal to derive_stream(seed, indices[j], tag)._state, and the
+lockstep draws continue on that array. next_units and next_ints take one
+draw per column (next_ints re-draws only the columns it rejected, and a
+column with lo == hi draws nothing), and lockstep_fields then draws each
+column's normal field, as the scalar calls in the same order would.
 """
 
 from __future__ import annotations
@@ -72,6 +82,13 @@ _U17 = np.uint64(17)
 _U19 = np.uint64(19)
 _U45 = np.uint64(45)
 _U57 = np.uint64(57)
+_U27 = np.uint64(27)
+_U30 = np.uint64(30)
+_U31 = np.uint64(31)
+_U_MIX1 = np.uint64(_MIX1)
+_U_MIX2 = np.uint64(_MIX2)
+# The increments of the four SplitMix64 steps of derive_states, as a column.
+_SPLITMIX_STEPS = np.array([[(k * _GOLDEN) & _M64] for k in range(1, 5)], dtype=np.uint64)
 
 
 def _fnv1a64(text: str) -> int:
@@ -113,10 +130,11 @@ def _fill_block_py(state, out):
     state[3] = s3
 
 
-def _lockstep_units(states, n: int) -> np.ndarray:
-    """(n, N) uniforms; column j is unit_array(n) of the stream whose four
-    state words are states[:, j]. states, a C-contiguous (4, N) uint64
-    array, is advanced in place."""
+def _lockstep_u64(states, n: int, scratch=None) -> np.ndarray:
+    """(n, N) outputs; column j is the next n next_u64() of the stream whose
+    four state words are states[:, j]. states, a (4, N) uint64 array, is
+    advanced in place; scratch, if given, is an (n, N) 8-byte buffer the
+    scrambler may overwrite."""
     _, s1, s2, s3 = states
     low, high, s1_s0 = states[0:2], states[2:4], states[1::-1]
     block = np.empty((n, states.shape[1]), dtype=np.uint64)
@@ -130,14 +148,21 @@ def _lockstep_units(states, n: int) -> np.ndarray:
         np.left_shift(s3, _U45, out=t)
         s3 >>= _U19
         s3 |= t
-    # Scramble the recorded s1 history, rotl(s1 * 5, 7) * 9, with the
-    # result's buffer as the scratch array.
-    u = np.empty(block.shape, dtype=np.float64)
+    # Scramble the recorded s1 history: rotl(s1 * 5, 7) * 9.
+    scratch = np.empty_like(block) if scratch is None else scratch.view(np.uint64)
     block *= _U5
-    np.left_shift(block, _U7, out=u.view(np.uint64))
+    np.left_shift(block, _U7, out=scratch)
     block >>= _U57
-    block |= u.view(np.uint64)
+    block |= scratch
     block *= _U9
+    return block
+
+
+def _lockstep_units(states, n: int) -> np.ndarray:
+    """(n, N) uniforms; column j is unit_array(n) of the stream whose four
+    state words are states[:, j], which advance in place."""
+    u = np.empty((n, states.shape[1]), dtype=np.float64)
+    block = _lockstep_u64(states, n, scratch=u)
     block >>= _U11
     u[...] = block
     u *= _INV_2_53
@@ -176,8 +201,7 @@ class RngStream:
 
     def derive(self, child_tag: str) -> "RngStream":
         """Child stream for a sub-operation; tags chain with '/'."""
-        tag = f"{self.tag}/{child_tag}" if self.tag else child_tag
-        return derive_stream(self.seed, self.index, tag)
+        return derive_stream(self.seed, self.index, child_tag_of(self.tag, child_tag))
 
     def next_u64(self) -> int:
         return int(self._u64_block(1)[0])
@@ -202,6 +226,23 @@ class RngStream:
             x = self.next_u64() & mask
             if x < span:
                 return lo + x
+
+    def permutation(self, n: int) -> np.ndarray:
+        """Fisher-Yates permutation of range(n): position i swaps with
+        next_int(0, i) for i = n - 1 down to 1. Each of those calls draws at
+        least once, so the walk takes blocks of one draw per remaining swap
+        and ends with the stream where the calls would leave it."""
+        order = list(range(n))
+        i = n - 1
+        while i > 0:
+            for x in self._u64_block(i).tolist():
+                x &= (1 << i.bit_length()) - 1
+                if x <= i:
+                    order[i], order[x] = order[x], order[i]
+                    i -= 1
+                    if i == 0:
+                        break
+        return np.array(order, dtype=np.int64)
 
     def next_normal(self) -> float:
         """Standard normal via Box-Muller; pair members come out in order."""
@@ -253,6 +294,11 @@ class RngStream:
         return self.normal_array(n).reshape(shape)
 
 
+def child_tag_of(tag: str, child: str) -> str:
+    """The tag of RngStream.derive(child) on a stream tagged tag."""
+    return f"{tag}/{child}" if tag else child
+
+
 def derive_stream(seed: int, index: int, tag: str) -> RngStream:
     """Derive an independent stream from (global seed, image index, op tag).
 
@@ -270,15 +316,84 @@ def derive_stream(seed: int, index: int, tag: str) -> RngStream:
     return RngStream(words, seed, index, tag)
 
 
-def _lockstep_normals(streams: list, n: int) -> np.ndarray:
-    """(N, n) normals for streams without a pending normal, n >= 1."""
-    states = np.stack([s._state for s in streams], axis=1)
+def _mix64_array(x: np.ndarray) -> np.ndarray:
+    """_mix64 of every element of a uint64 array, computed in place."""
+    t = np.empty_like(x)
+    for shift, factor in ((_U30, _U_MIX1), (_U27, _U_MIX2), (_U31, None)):
+        np.right_shift(x, shift, out=t)
+        x ^= t
+        if factor is not None:
+            x *= factor
+    return x
+
+
+def _as_u64(indices) -> np.ndarray:
+    """Indices modulo 2**64 as a uint64 array. Integer arrays wrap exactly;
+    numpy gives Python integers beyond one integer dtype a float or object
+    array, so those are reduced one by one."""
+    x = np.asarray(indices)
+    if x.dtype.kind not in "iu":
+        x = np.array([int(i) & _M64 for i in indices], dtype=np.uint64)
+    return x.astype(np.uint64)
+
+
+def derive_states(seed: int, indices, tag: str) -> np.ndarray:
+    """The xoshiro states of many origins sharing seed and tag: a
+    C-contiguous (4, len(indices)) uint64 array whose column j equals
+    derive_stream(seed, indices[j], tag)._state."""
+    base = _mix64_array(_as_u64(indices))
+    base ^= np.uint64((seed & _M64) ^ _fnv1a64(tag))
+    # SplitMix64 word k is the mix of base + k * golden, k = 1..4.
+    states = _mix64_array(np.add(base, _SPLITMIX_STEPS))
+    zero = (states[0] | states[1] | states[2] | states[3]) == 0
+    states[0, zero] = _GOLDEN  # xoshiro must not start all-zero
+    return states
+
+
+def next_units(states) -> np.ndarray:
+    """One next_unit() per column of a (4, N) state array, as an (N,) array."""
+    return _lockstep_units(states, 1)[0]
+
+
+def next_ints(states, lo, hi) -> np.ndarray:
+    """One next_int(lo, hi) per column of a (4, N) state array, as an (N,)
+    int64 array; lo and hi are integers or (N,) arrays.
+
+    Each round draws only for the columns whose last draw the bitmask
+    rejected, and a column with lo == hi draws nothing."""
+    n = states.shape[1]
+    lo = np.broadcast_to(np.asarray(lo, dtype=np.int64), n)
+    hi = np.broadcast_to(np.asarray(hi, dtype=np.int64), n)
+    if np.any(lo > hi):
+        raise ValueError("empty range")
+    top = (hi - lo).astype(np.uint64)  # span - 1
+    mask = top.copy()  # all ones below the highest set bit of span - 1
+    for shift in (1, 2, 4, 8, 16, 32):
+        mask |= mask >> np.uint64(shift)
+    out = np.zeros(n, dtype=np.uint64)
+    todo = np.flatnonzero(top)
+    while todo.size:
+        if todo.size == n:
+            x = _lockstep_u64(states, 1)[0]
+        else:
+            sub = states[:, todo]
+            x = _lockstep_u64(sub, 1)[0]
+            states[:, todo] = sub
+        x &= mask[todo]
+        ok = x <= top[todo]
+        out[todo[ok]] = x[ok]
+        todo = todo[~ok]
+    return lo + out.astype(np.int64)
+
+
+def lockstep_fields(states, shape) -> np.ndarray:
+    """Normal fields of the columns of a (4, N) state array, shape
+    (N,) + shape: entry j is the normal_field(shape) of a stream with state
+    states[:, j] and no pending normal. The states advance as that call
+    would; the pending normal an odd-sized field leaves is dropped."""
+    n = math.prod(int(dim) for dim in shape)
     z = _box_muller(_lockstep_units(states, n + n % 2))
-    for j, stream in enumerate(streams):
-        stream._state[:] = states[:, j]
-        if n % 2:
-            stream._pending_normal = float(z[-1, j])
-    return z[:n].T
+    return np.ascontiguousarray(z[:n].T).reshape((states.shape[1],) + tuple(shape))
 
 
 def lockstep_groups(n: int, multiple: int = 1) -> list:
@@ -308,5 +423,11 @@ def normal_fields(streams, shape) -> np.ndarray:
             streams[j]._pending_normal = None
         for rows, count in ((fresh, n), (held, n - 1)):
             if rows and count:
-                out[rows, n - count:] = _lockstep_normals([streams[j] for j in rows], count)
+                states = np.stack([streams[j]._state for j in rows], axis=1)
+                z = _box_muller(_lockstep_units(states, count + count % 2))
+                out[rows, n - count:] = z[:count].T
+                for col, j in enumerate(rows):
+                    streams[j]._state[:] = states[:, col]
+                    if count % 2:
+                        streams[j]._pending_normal = float(z[-1, col])
     return out.reshape((len(streams),) + tuple(shape))

@@ -14,18 +14,18 @@ from robustaug.augment import (
     apply_gaussian_kernel,
     apply_patch_gaussian,
     cutout_kernel,
+    draw_flips,
     flip_and_crop,
     flip_only,
     mirror,
     patch_gaussian_kernel,
-    pipeline_flips,
     rect_from_center,
     run_pipeline,
     run_pipeline_batch,
     sample_patch_bounds,
 )
 from robustaug.parallel import indexed_map
-from robustaug.rng import derive_stream
+from robustaug.rng import derive_states, derive_stream
 
 import rng_reference
 
@@ -354,17 +354,18 @@ def test_pipeline_none_pad_zero_identity():
 
 
 @pytest.mark.parametrize("order", ORDERS)
-def test_pipeline_flips_agrees_with_run_pipeline(order):
+def test_draw_flips_agrees_with_run_pipeline(order):
+    """Under a flip_only spec run_pipeline mirrors exactly the images whose
+    "flipcrop" child draws a first unit below 0.5, the rule by which train
+    reads its feature cache."""
     img = np.random.default_rng(13).random((5, 4, 3))
     spec = AugmentSpec(order=order)
     assert flip_only(spec)
-    flips = 0
+    flips = draw_flips(derive_states(21, range(200), "flips/flipcrop"))
     for i in range(200):
-        flipped = pipeline_flips(derive_stream(21, i, "flips"))
         out = run_pipeline(img, spec, derive_stream(21, i, "flips"))
-        assert np.array_equal(out, mirror(img) if flipped else img)
-        flips += flipped
-    assert 60 < flips < 140
+        assert np.array_equal(out, mirror(img) if flips[i] else img)
+    assert 60 < flips.sum() < 140
 
 
 def test_flip_only_reads_kind_and_pad():
@@ -438,10 +439,12 @@ def test_pipeline_batch_matches_per_image_pipeline(kind, order, pad, channels):
     rng = np.random.default_rng(16 + channels)
     for size in (1, 15, 17):
         # 9x7 images: odd-sized fields and patches clipped at the border.
+        # Indices from -3 up in steps of 7: a negative one, and gaps.
         images = rng.random((size, 9, 7, channels))
-        streams = [derive_stream(21, i, "batch") for i in range(size)]
-        batch = run_pipeline_batch(images, spec, streams)
-        single = np.stack([run_pipeline(img, spec, s) for img, s in zip(images, streams)])
+        indices = np.arange(size) * 7 - 3
+        batch = run_pipeline_batch(images, spec, 21, indices, "batch")
+        single = np.stack([run_pipeline(img, spec, derive_stream(21, int(i), "batch"))
+                           for img, i in zip(images, indices)])
         assert batch.shape == single.shape
         assert np.array_equal(batch.view(np.uint64), single.view(np.uint64))
 

@@ -5,7 +5,17 @@ import os
 import numpy as np
 import pytest
 
-from robustaug.rng import LOCKSTEP_STREAMS, derive_stream, lockstep_groups, normal_fields
+from robustaug import rng
+from robustaug.rng import (
+    LOCKSTEP_STREAMS,
+    derive_states,
+    derive_stream,
+    lockstep_fields,
+    lockstep_groups,
+    next_ints,
+    next_units,
+    normal_fields,
+)
 
 import rng_reference
 
@@ -217,3 +227,80 @@ def test_normal_field_row_major():
 def test_negative_and_huge_origins_mask_to_64_bits():
     assert derive_stream(-1, 0, "t").next_u64() == derive_stream(2**64 - 1, 0, "t").next_u64()
     assert derive_stream(0, -2, "t").next_u64() == derive_stream(0, 2**64 - 2, "t").next_u64()
+
+
+@pytest.mark.parametrize("seed", [0, 2**64 + 5, -9])
+@pytest.mark.parametrize("tag", ["", "ep3/flipcrop", "fourier/\u00e9,\u2202"])
+def test_derive_states_match_derive_stream(seed, tag):
+    indices = [0, 2**64 - 1, -1, -2**70, 7, 2**64 + 7]
+    states = derive_states(seed, indices, tag)
+    assert states.dtype == np.uint64 and states.shape == (4, len(indices)) and states.flags.c_contiguous
+    for j, index in enumerate(indices):
+        assert np.array_equal(states[:, j], derive_stream(seed, index, tag)._state)
+    # Integer arrays, ranges and an empty batch take the same rule.
+    assert np.array_equal(derive_states(seed, np.arange(-3, 4), tag), derive_states(seed, list(range(-3, 4)), tag))
+    assert np.array_equal(derive_states(seed, range(5), tag)[:, 2], derive_stream(seed, 2, tag)._state)
+    assert derive_states(seed, [], tag).shape == (4, 0)
+
+
+def test_derive_states_share_the_all_zero_guard(monkeypatch):
+    # No origin is known to mix to four zero words, so force the mixers to.
+    monkeypatch.setattr(rng, "_mix64", lambda x: 0)
+    monkeypatch.setattr(rng, "_mix64_array", lambda x: np.zeros_like(x))
+    guarded = derive_stream(1, 2, "t")._state
+    assert guarded.tolist() == [rng._GOLDEN, 0, 0, 0]
+    assert np.array_equal(derive_states(1, [2, 3], "t"), np.stack([guarded, guarded], axis=1))
+
+
+@pytest.mark.parametrize("columns", [1, 7, 130])
+def test_lockstep_draws_match_scalar_draws(columns):
+    """next_units and next_ints against the scalar calls, for spans 1, 3, 5,
+    9 and 33 (9 and 33 reject about half their draws) and a span that
+    differs per column, with the states compared after every draw."""
+    indices = np.arange(columns) * 3 - 1
+    states = derive_states(41, indices, "draws")
+    streams = [derive_stream(41, int(i), "draws") for i in indices]
+    per_column_hi = indices % 6 + 3
+    for lo, hi in ((0, 0), (4, 6), (0, 4), (1, 9), (-16, 16), (0, per_column_hi), (2, None)):
+        if hi is None:
+            got = next_units(states)
+            want = [s.next_unit() for s in streams]
+        else:
+            got = next_ints(states, lo, hi)
+            want = [s.next_int(lo, int(h)) for s, h in zip(streams, np.broadcast_to(hi, columns))]
+            assert got.dtype == np.int64
+        assert got.tolist() == want
+        assert np.array_equal(states, np.stack([s._state for s in streams], axis=1))
+
+
+def test_lockstep_int_degenerate_range_consumes_nothing_and_rejects_empty():
+    states = derive_states(1, range(4), "deg")
+    before = states.copy()
+    assert next_ints(states, 7, 7).tolist() == [7] * 4
+    assert np.array_equal(states, before)
+    with pytest.raises(ValueError):
+        next_ints(states, 3, np.array([5, 2, 5, 5]))
+
+
+@pytest.mark.parametrize("shape", [(5, 7, 3), (32, 32, 1), (0,)])
+def test_lockstep_fields_of_states_match_normal_field(shape):
+    states = derive_states(9, range(13), "fields")
+    streams = [derive_stream(9, i, "fields") for i in range(13)]
+    got = lockstep_fields(states, shape)
+    want = np.stack([s.normal_field(shape) for s in streams])
+    assert got.shape == (13,) + shape
+    assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
+    assert np.array_equal(states, np.stack([s._state for s in streams], axis=1))
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 17, 400])
+def test_permutation_matches_per_call_fisher_yates(n):
+    walked = derive_stream(6, n, "shuffle")
+    called = derive_stream(6, n, "shuffle")
+    order = list(range(n))
+    for i in range(n - 1, 0, -1):
+        j = called.next_int(0, i)
+        order[i], order[j] = order[j], order[i]
+    got = walked.permutation(n)
+    assert got.dtype == np.int64 and got.tolist() == order
+    assert np.array_equal(walked._state, called._state)
