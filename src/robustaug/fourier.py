@@ -21,12 +21,17 @@ import numpy as np
 from .images import LabeledDataset, clip_unit
 from .metrics import accuracy
 from .parallel import indexed_map
-from .model import FEATURE_CHUNK
 from .rng import derive_states, next_units
 
 PROBES = ("test_error", "first_layer")
 
 _IMAG_LIMIT = 1e-6
+
+# Images per first_layer call of the first_layer probe.  It bounds the
+# activation arrays the probe holds for any model (one chunk's clean and
+# perturbed activations per frequency), and the per-image norms it keeps do
+# not depend on it.
+_PROBE_CHUNK = 16
 
 
 @dataclass
@@ -167,7 +172,7 @@ def sensitivity_heatmap(
     result is independent of worker count and frequency order; each
     frequency perturbs all images at once, images[idx] exactly as
     perturb_with_basis with its stream would. The first_layer probe keeps
-    only per-image activation norms, computing activations FEATURE_CHUNK
+    only per-image activation norms, computing activations _PROBE_CHUNK
     images at a time.
     """
     if probe not in PROBES:
@@ -179,7 +184,7 @@ def sensitivity_heatmap(
     n, h, w, _ = d.images.shape
     freq_list = list(freqs) if freqs is not None else half_plane_frequencies(h, w)
 
-    chunks = [slice(start, start + FEATURE_CHUNK) for start in range(0, n, FEATURE_CHUNK)]
+    chunks = [slice(start, start + _PROBE_CHUNK) for start in range(0, n, _PROBE_CHUNK)]
 
     def acts(images):
         return np.asarray(model.first_layer(images), dtype=np.float64)

@@ -30,14 +30,10 @@ augmentation sweeps. Two engines produce them, with numpy the only dependency:
 
     scalar    _fill_block_py steps one stream in a Python loop over its four
               words; it serves single-stream draws, for which it is faster
-    lockstep  normal_fields steps the streams of a whole batch together: the
-              state is a (4, N) uint64 array, each step is a few in-place
+    lockstep  lockstep_fields steps the streams of a whole batch together:
+              the state is a (4, N) uint64 array, each step is a few in-place
               numpy ops over all N columns, only s1 is recorded per step, and
               the scrambler and Box-Muller then run once over the (n, N) block
-
-normal_fields(streams, shape)[j] is bit-identical to
-streams[j].normal_field(shape) and leaves every stream, pending normal
-included, as that call would.
 
 Derivation has the same two forms. derive_stream builds one RngStream with
 Python integer arithmetic, the cheaper form for a single origin. A batch
@@ -66,11 +62,11 @@ _FNV_PRIME = 0x100000001B3
 _INV_2_53 = 2.0**-53
 _TWO_PI = 2.0 * np.pi
 
-# Streams that normal_fields steps together, and the group size of its
-# callers. A lockstep step costs about the same numpy call overhead for any
-# number of streams, so larger groups are faster per field, but a group's
-# fields and images are held at once: 96 streams of 32x32 fields keep the
-# working set under 1 MB per array.
+# Columns of the derive_states arrays that batch callers step together, the
+# size of a lockstep_groups group. A lockstep step costs about the same numpy
+# call overhead for any number of columns, so larger groups are faster per
+# field, but a group's fields and images are held at once: 96 columns of
+# 32x32 fields keep the working set under 1 MB per array.
 LOCKSTEP_STREAMS = 96
 
 # uint64 shift and multiply operands for the array engines.
@@ -402,32 +398,3 @@ def lockstep_groups(n: int, multiple: int = 1) -> list:
     possibly the last, so callers can draw whole batches' fields together."""
     size = multiple * max(1, LOCKSTEP_STREAMS // multiple)
     return [range(start, min(n, start + size)) for start in range(0, n, size)]
-
-
-def normal_fields(streams, shape) -> np.ndarray:
-    """Normal fields of many streams at once, shape (len(streams),) + shape.
-
-    Entry j, and the state each stream is left in, equal those of
-    streams[j].normal_field(shape). Streams are stepped in lockstep,
-    LOCKSTEP_STREAMS at a time; a stream holding a pending normal emits it
-    first and joins a second lockstep for its remaining n - 1 values.
-    """
-    streams = list(streams)
-    n = math.prod(int(dim) for dim in shape)
-    out = np.empty((len(streams), n), dtype=np.float64)
-    for group in lockstep_groups(len(streams) if n else 0):
-        fresh = [j for j in group if streams[j]._pending_normal is None]
-        held = [j for j in group if streams[j]._pending_normal is not None]
-        for j in held:
-            out[j, 0] = streams[j]._pending_normal
-            streams[j]._pending_normal = None
-        for rows, count in ((fresh, n), (held, n - 1)):
-            if rows and count:
-                states = np.stack([streams[j]._state for j in rows], axis=1)
-                z = _box_muller(_lockstep_units(states, count + count % 2))
-                out[rows, n - count:] = z[:count].T
-                for col, j in enumerate(rows):
-                    streams[j]._state[:] = states[:, col]
-                    if count % 2:
-                        streams[j]._pending_normal = float(z[-1, col])
-    return out.reshape((len(streams),) + tuple(shape))

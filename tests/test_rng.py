@@ -14,7 +14,6 @@ from robustaug.rng import (
     lockstep_groups,
     next_ints,
     next_units,
-    normal_fields,
 )
 
 import rng_reference
@@ -95,35 +94,32 @@ def test_unit_array_matches_scalar_calls():
     assert np.array_equal(bulk, scalar)
 
 
-def _uneven_streams(count):
-    """Streams advanced by different numbers of next_int draws over spans 3,
-    5 and 33 (span 33 rejects about half its draws); every fifth one holds a
-    pending normal."""
-    streams = []
-    for j in range(count):
-        stream = derive_stream(17, j, "lockstep")
-        for _ in range(j % 4):
-            stream.next_int(0, (2, 4, 32)[j % 3])
-        if j % 5 == 0:
-            stream.next_normal()
-        streams.append(stream)
-    return streams
-
-
 @pytest.mark.parametrize("count", [1, 7, 16, 130])
 def test_lockstep_fields_match_scalar_fields(count):
-    lockstep = _uneven_streams(count)
-    scalar = _uneven_streams(count)
-    # 105 values is odd: a stream without a pending normal ends the first
-    # field holding one, which the second field must emit first.
-    for shape in ((5, 7, 3), (32, 32, 1)):
-        got = normal_fields(lockstep, shape)
-        want = np.stack([s.normal_field(shape) for s in scalar])
+    """Fields of a derive_states array whose columns were advanced by
+    different numbers of next_ints draws over spans 3, 5 and 33 (span 33
+    rejects about half its draws), against scalar normal_field calls, with
+    the states compared after every field."""
+    states = derive_states(17, range(count), "lockstep")
+    streams = [derive_stream(17, j, "lockstep") for j in range(count)]
+    columns = np.arange(count)
+    spans = np.array((2, 4, 32))[columns % 3]
+    for step in range(3):
+        # A column with lo == hi draws nothing, so column j takes j % 4 draws.
+        hi = np.where(columns % 4 > step, spans, 0)
+        next_ints(states, 0, hi)
+        for stream, h in zip(streams, hi):
+            stream.next_int(0, int(h))
+    # 105 values is odd: a scalar stream ends the field holding a pending
+    # normal, which lockstep_fields drops, so the scalar side drops it too.
+    for shape in ((5, 7, 3), (32, 32, 1), (0,)):
+        got = lockstep_fields(states, shape)
+        want = np.stack([s.normal_field(shape) for s in streams])
+        for stream in streams:
+            stream._pending_normal = None
         assert got.shape == (count,) + shape
         assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
-        for a, b in zip(lockstep, scalar):
-            assert np.array_equal(a._state, b._state)
-            assert a._pending_normal == b._pending_normal
+        assert np.array_equal(states, np.stack([s._state for s in streams], axis=1))
 
 
 def test_lockstep_groups_cover_whole_batches():
@@ -280,17 +276,6 @@ def test_lockstep_int_degenerate_range_consumes_nothing_and_rejects_empty():
     assert np.array_equal(states, before)
     with pytest.raises(ValueError):
         next_ints(states, 3, np.array([5, 2, 5, 5]))
-
-
-@pytest.mark.parametrize("shape", [(5, 7, 3), (32, 32, 1), (0,)])
-def test_lockstep_fields_of_states_match_normal_field(shape):
-    states = derive_states(9, range(13), "fields")
-    streams = [derive_stream(9, i, "fields") for i in range(13)]
-    got = lockstep_fields(states, shape)
-    want = np.stack([s.normal_field(shape) for s in streams])
-    assert got.shape == (13,) + shape
-    assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
-    assert np.array_equal(states, np.stack([s._state for s in streams], axis=1))
 
 
 @pytest.mark.parametrize("n", [1, 2, 3, 17, 400])
