@@ -11,6 +11,8 @@ draws), both pipeline orders and pad 0 and 4. The feature-layer cases
 images than two feature chunks and batches that do not divide the dataset.
 The 3-channel patch checkpoint and the CLI gaussian_noise tree cover uneven
 lockstep groups, crop rejection and a pending normal on the batch paths.
+The CLI corrupt trees (every other kind at severities 1 and 5) and the
+highpass tree run on 101 images of 1 and 3 channels each.
 """
 
 import hashlib
@@ -235,3 +237,44 @@ def heatmap_csv(probe: str) -> str:
 @pytest.mark.parametrize("probe", sorted(HEATMAP_DIGESTS))
 def test_heatmap_csv_digest(probe):
     assert hashlib.sha256(heatmap_csv(probe).encode("ascii")).hexdigest() == HEATMAP_DIGESTS[probe]
+
+
+def cli_tree_digest(tmp_path, *argv) -> str:
+    """Run one CLI command on 101 random 9x7 images with 1 and 3 channels
+    (two lockstep groups, the second uneven) and digest both output trees."""
+    out = tmp_path / "out"
+    for c in (1, 3):
+        data = tmp_path / f"data{c}"
+        images = np.random.default_rng(30 + c).random((101, 9, 7, c))
+        write_dataset(LabeledDataset(images, np.arange(101) % 2), data)
+        assert cli_main([*argv, "--input", str(data), "--output", str(out / f"c{c}"), "--workers", "2"]) == 0
+    return tree_digest(out)
+
+
+CLI_CORRUPT_DIGESTS = {
+    ("shot_noise", 1): "985c135157f579eed225f71801e586a7d6f598aa36e4fb6bb93fdbe882042f5b",
+    ("shot_noise", 5): "99f5764cdd0f5a7153e9b9d33d12c4a025898fba37049865f920ff25cf666fa3",
+    ("impulse_noise", 1): "06c6c36629e09f9f8cc0e50213b64bff486add88ce62876ca29046bbf9b8b3aa",
+    ("impulse_noise", 5): "6bfcaddeff4d850fab991c8c34af30bf818c48c3da1a4046d22c20d91a7b80ef",
+    ("brightness", 1): "8a57b9d47ab0792f60bb56d5aa31ae9cf22bf938c658afca54e085c6b3792ac4",
+    ("brightness", 5): "5096d280f62cacb56d25b917222b02deb7d9ef6bac2316f9681ba701eea88d33",
+    ("contrast", 1): "fa7c3a43851f9c970bc0f4a04bbc639b1b0ffcb1fe3e82acc8fec57796bf2464",
+    ("contrast", 5): "1ac086b243677e64b5708c1a51929a249ba08ff7e0b839f8eda00f0354c7906e",
+    ("defocus_blur", 1): "78a43dd6335cbd5776a9f84eca7f9d79296a316dd5ddfe3cc35c438033f51e57",
+    ("defocus_blur", 5): "7e1fc37187f9529fc013ce480205d84aa4b233adc725ed934aebc849ce5453ab",
+    ("pixelate", 1): "cd90cb1c1e25b0657b030dbcb7593f91854d6b450d7483f4737be833b47aa2de",
+    ("pixelate", 5): "0df7f7d5e1b8648b4f04369a24deb62fa18e487d6d443f325ee3c7553cbc6670",
+}
+
+
+@pytest.mark.parametrize("kind,severity", sorted(CLI_CORRUPT_DIGESTS))
+def test_cli_corrupt_tree_digest(tmp_path, kind, severity):
+    digest = cli_tree_digest(tmp_path, "corrupt", "--seed", "24", "--kind", kind, "--severity", str(severity))
+    assert digest == CLI_CORRUPT_DIGESTS[kind, severity]
+
+
+CLI_HIGHPASS_DIGEST = "a2dd315b9dd7e6883fd4918889f163358afa6b769b198f07c5f67eb0bc828679"
+
+
+def test_cli_highpass_tree_digest(tmp_path):
+    assert cli_tree_digest(tmp_path, "highpass", "--radius", "2.5") == CLI_HIGHPASS_DIGEST
