@@ -16,7 +16,9 @@ Datasets are either a CIFAR-style binary batch file or a directory of
 key=value lines (keys are the long flag names; dashes and underscores are
 interchangeable); explicit flags override it.  Every output file is
 written to a temporary name and renamed into place, and every command is
-deterministic given its seed and inputs, independent of --workers.
+deterministic given its seed and inputs.  Every command accepts --workers,
+but only fourier uses it, to spread heatmap frequencies over threads; the
+others work on the whole dataset as one batch.
 """
 
 import argparse
@@ -31,13 +33,10 @@ import numpy as np
 from .augment import ORDERS, AugmentSpec, run_pipeline_batch
 from .corrupt import (
     CORRUPTION_KINDS,
-    NOISE_KINDS,
     SIGMA_SUITE,
     CorruptionSpec,
-    checked_param,
     corrupt,
     gaussian_eval_suite,
-    gaussian_noise_images,
     parse_severity_table,
 )
 from .fourier import (
@@ -65,8 +64,7 @@ from .metrics import (
     select_hparams,
 )
 from .model import TrainConfig, decode_model, encode_model, evaluate, init_toy_model, synth_dataset, train
-from .parallel import indexed_map
-from .rng import derive_stream, lockstep_groups
+from .rng import lockstep_groups
 
 _TRUE = {"1", "true", "yes", "on"}
 _FALSE = {"0", "false", "no", "off"}
@@ -199,15 +197,9 @@ def _augment_spec(args, d: LabeledDataset) -> AugmentSpec:
 def cmd_augment(args) -> int:
     d = load_dataset(_req(args, "input", str))
     seed = _opt(args, "seed", int, 0)
-    workers = _opt(args, "workers", int, 1)
     spec = _augment_spec(args, d)
-    groups = lockstep_groups(len(d))
-
-    def work(g):
-        rows = groups[g]
-        return run_pipeline_batch(d.images[rows.start:rows.stop], spec, seed, rows, "augment")
-
-    images = np.concatenate(indexed_map(work, len(groups), workers))
+    images = np.concatenate([run_pipeline_batch(d.images[rows.start:rows.stop], spec, seed, rows, "augment")
+                             for rows in lockstep_groups(len(d))])
     write_dataset(LabeledDataset(images, d.labels.copy()), _req(args, "output", str))
     sheet = _opt(args, "sheet", str)
     if sheet is not None:
@@ -219,10 +211,9 @@ def cmd_augment(args) -> int:
 def cmd_corrupt(args) -> int:
     d = load_dataset(_req(args, "input", str))
     seed = _opt(args, "seed", int, 0)
-    workers = _opt(args, "workers", int, 1)
     out = Path(_req(args, "output", str))
     if _opt(args, "suite", bool, False):
-        for sigma, corrupted in gaussian_eval_suite(d, seed, workers):
+        for sigma, corrupted in gaussian_eval_suite(d, seed):
             write_dataset(corrupted, out / f"sigma_{sigma}")
         print(f"wrote {len(SIGMA_SUITE)}-sigma suite for {len(d)} images")
         return 0
@@ -234,15 +225,7 @@ def cmd_corrupt(args) -> int:
     )
     table_path = _opt(args, "table", str)
     table = parse_severity_table(Path(table_path).read_text()) if table_path else None
-    tag = f"corrupt/{kind}"
-    if kind == "gaussian_noise":
-        images = gaussian_noise_images(d.images, checked_param(spec, table), seed, tag, workers)
-    else:
-        def work(i):
-            rng = derive_stream(seed, i, tag) if kind in NOISE_KINDS else None
-            return corrupt(d.images[i], spec, rng, table)
-
-        images = np.stack(indexed_map(work, len(d), workers))
+    images = corrupt(d.images, spec, seed, tag=f"corrupt/{kind}", table=table)
     write_dataset(LabeledDataset(images, d.labels.copy()), out)
     print(f"corrupted {len(d)} images ({kind})")
     return 0
@@ -344,8 +327,7 @@ def cmd_fourier(args) -> int:
 def cmd_highpass(args) -> int:
     d = load_dataset(_req(args, "input", str))
     radius = _req(args, "radius", float)
-    workers = _opt(args, "workers", int, 1)
-    images = np.stack(indexed_map(lambda i: high_pass(d.images[i], radius), len(d), workers))
+    images = high_pass(d.images, radius)
     write_dataset(LabeledDataset(images, d.labels.copy()), _req(args, "output", str))
     print(f"high-pass filtered {len(d)} images at radius {radius}")
     return 0

@@ -29,6 +29,7 @@ channels of the pixel.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -37,8 +38,7 @@ from scipy import stats
 
 from .augment import apply_gaussian_kernel
 from .images import LabeledDataset, clip_unit
-from .parallel import indexed_map
-from .rng import RngStream, derive_states, lockstep_fields, lockstep_groups
+from .rng import derive_states, lockstep_fields, lockstep_groups, next_units
 
 CORRUPTION_KINDS = (
     "gaussian_noise",
@@ -99,6 +99,8 @@ def validate_severity_table(table: dict) -> None:
             raise ValueError(f"unknown corruption kind: {kind!r}")
         if len(params) != 5:
             raise ValueError(f"{kind}: need exactly 5 severity parameters, got {len(params)}")
+        for param in params:
+            _check_domain(kind, param)  # rejects nan and inf as well
         direction = STRENGTH_DIRECTION[kind]
         for a, b in zip(params, params[1:]):
             if direction * (b - a) <= 0:
@@ -143,15 +145,8 @@ def resolve_param(spec: CorruptionSpec, table: dict | None = None) -> float:
     return float(table[spec.kind][spec.severity - 1])
 
 
-def checked_param(spec: CorruptionSpec, table: dict | None = None) -> float:
-    """resolve_param, rejecting a parameter outside the kind's domain."""
-    param = resolve_param(spec, table)
-    _check_domain(spec.kind, param)
-    return param
-
-
 def _check_domain(kind: str, param: float) -> None:
-    ok = {
+    ok = math.isfinite(param) and {
         "gaussian_noise": param >= 0,
         "shot_noise": param > 0,
         "impulse_noise": 0 <= param <= 1,
@@ -164,26 +159,32 @@ def _check_domain(kind: str, param: float) -> None:
         raise ValueError(f"parameter out of domain for {kind}: {param!r}")
 
 
-def _shot_noise(img: np.ndarray, lam: float, rng: RngStream) -> np.ndarray:
-    u = rng.unit_array(img.size).reshape(img.shape)
+def _gaussian_noise(images: np.ndarray, sigma: float, states: np.ndarray) -> np.ndarray:
+    return apply_gaussian_kernel(images, sigma, lockstep_fields(states, images.shape[1:]))
+
+
+def _shot_noise(images: np.ndarray, lam: float, states: np.ndarray) -> np.ndarray:
+    u = next_units(states, images.shape[1:])
     # Exact inverse-transform Poisson: k = F^{-1}(u) at mean img*lam.
-    counts = stats.poisson.ppf(u, img * lam)
+    counts = stats.poisson.ppf(u, images * lam)
     counts = np.maximum(counts, 0.0)  # ppf(0) reports -1; floor it at zero
     return clip_unit(counts / lam)
 
 
-def _impulse_noise(img: np.ndarray, p: float, rng: RngStream) -> np.ndarray:
-    h, w, _ = img.shape
-    u = rng.unit_array(h * w).reshape(h, w)
-    out = img.copy()
+def _impulse_noise(images: np.ndarray, p: float, states: np.ndarray) -> np.ndarray:
+    u = next_units(states, images.shape[1:3])
+    out = images.copy()
     out[u < p / 2] = 0.0
     out[(u >= p / 2) & (u < p)] = 1.0
     return out
 
 
-def _contrast(img: np.ndarray, c: float) -> np.ndarray:
-    m = img.mean(axis=(0, 1))
-    return clip_unit((img - m) * c + m)
+_NOISE = {"gaussian_noise": _gaussian_noise, "shot_noise": _shot_noise, "impulse_noise": _impulse_noise}
+
+
+def _contrast(images: np.ndarray, c: float) -> np.ndarray:
+    m = images.mean(axis=(1, 2), keepdims=True)
+    return clip_unit((images - m) * c + m)
 
 
 def _disk_kernel(radius: float) -> np.ndarray:
@@ -194,54 +195,55 @@ def _disk_kernel(radius: float) -> np.ndarray:
     return kernel / kernel.sum()
 
 
-def _defocus_blur(img: np.ndarray, radius: float) -> np.ndarray:
-    kernel = _disk_kernel(radius)
-    out = np.empty_like(img)
-    for c in range(img.shape[2]):
-        out[:, :, c] = ndimage.convolve(img[:, :, c], kernel, mode="nearest")
-    return clip_unit(out)
+def _defocus_blur(images: np.ndarray, radius: float) -> np.ndarray:
+    kernel = _disk_kernel(radius)[None, :, :, None]
+    return clip_unit(ndimage.convolve(images, kernel, mode="nearest"))
 
 
-def _pixelate(img: np.ndarray, k: int) -> np.ndarray:
-    h, w, _ = img.shape
+def _pixelate(images: np.ndarray, k: int) -> np.ndarray:
+    _, h, w, _ = images.shape
     ys = np.arange(0, h, k)
     xs = np.arange(0, w, k)
-    sums = np.add.reduceat(np.add.reduceat(img, ys, axis=0), xs, axis=1)
+    sums = np.add.reduceat(np.add.reduceat(images, ys, axis=1), xs, axis=2)
     heights = np.minimum(ys + k, h) - ys
     widths = np.minimum(xs + k, w) - xs
     means = sums / (heights[:, None, None] * widths[None, :, None])
-    up = np.repeat(np.repeat(means, heights, axis=0), widths, axis=1)
+    up = np.repeat(np.repeat(means, heights, axis=1), widths, axis=2)
     return clip_unit(up)
 
 
 def corrupt(
-    img: np.ndarray,
+    images: np.ndarray,
     spec: CorruptionSpec,
-    rng: RngStream | None = None,
+    seed: int | None = None,
+    indices=None,
+    tag: str = "",
     table: dict | None = None,
 ) -> np.ndarray:
-    """Apply one corruption. Noise kinds require an RngStream."""
-    param = checked_param(spec, table)
-    if spec.kind in NOISE_KINDS and rng is None:
-        raise ValueError(f"{spec.kind} requires an rng stream")
-    if spec.kind == "gaussian_noise":
-        return apply_gaussian_kernel(img, param, rng.normal_field(img.shape))
-    if spec.kind == "shot_noise":
-        return _shot_noise(img, param, rng)
-    if spec.kind == "impulse_noise":
-        return _impulse_noise(img, param, rng)
+    """Apply one corruption to a batch of images, shape (n, h, w, c). Noise
+    kinds require a seed: image j draws from the (seed, indices[j], tag)
+    stream, indices defaulting to range(n)."""
+    param = resolve_param(spec, table)
+    _check_domain(spec.kind, param)
     if spec.kind == "brightness":
-        return clip_unit(img + param)
+        return clip_unit(images + param)
     if spec.kind == "contrast":
-        return _contrast(img, param)
+        return _contrast(images, param)
     if spec.kind == "defocus_blur":
-        return _defocus_blur(img, param)
-    return _pixelate(img, int(param))
+        return _defocus_blur(images, param)
+    if spec.kind == "pixelate":
+        return _pixelate(images, int(param))
+    if seed is None:
+        raise ValueError(f"{spec.kind} requires an rng seed")
+    indices = range(len(images)) if indices is None else indices
+    out = np.empty_like(images)
+    for rows in lockstep_groups(len(images)):
+        group = slice(rows.start, rows.stop)
+        out[group] = _NOISE[spec.kind](images[group], param, derive_states(seed, indices[group], tag))
+    return out
 
 
-def gaussian_eval_suite(
-    d: LabeledDataset, seed: int, workers: int = 1
-) -> list[tuple[float, LabeledDataset]]:
+def gaussian_eval_suite(d: LabeledDataset, seed: int) -> list[tuple[float, LabeledDataset]]:
     """The six-sigma Gaussian noise suite used for robustness evaluation.
 
     Returns [(sigma, corrupted dataset)] for sigma in SIGMA_SUITE, in that
@@ -250,22 +252,6 @@ def gaussian_eval_suite(
     """
     if len(d) == 0:
         raise ValueError("empty dataset")
-    return [(sigma, LabeledDataset(gaussian_noise_images(d.images, sigma, seed, f"suite/{sigma}", workers),
-                                   d.labels.copy()))
+    return [(sigma, LabeledDataset(corrupt(d.images, CorruptionSpec("gaussian_noise", param=sigma), seed,
+                                           tag=f"suite/{sigma}"), d.labels.copy()))
             for sigma in SIGMA_SUITE]
-
-
-def gaussian_noise_images(images: np.ndarray, sigma: float, seed: int, tag: str,
-                          workers: int = 1) -> np.ndarray:
-    """gaussian_noise at parameter sigma on every image, image i drawing its
-    field from the (seed, i, tag) stream: clip(images[i] + sigma * field).
-    The fields of each lockstep group of images are drawn together, and the
-    groups are spread over `workers` threads."""
-    groups = lockstep_groups(len(images))
-
-    def work(g):
-        rows = groups[g]
-        noise = lockstep_fields(derive_states(seed, rows, tag), images.shape[1:])
-        return apply_gaussian_kernel(images[rows.start:rows.stop], sigma, noise)
-
-    return np.concatenate(indexed_map(work, len(groups), workers))

@@ -216,31 +216,34 @@ def sensitivity_heatmap(
     return FourierHeatmap(probe=probe, norm=v, seed=seed, grid=grid, absolute=absolute)
 
 
-def _high_pass_raw(img: np.ndarray, radius: float) -> np.ndarray:
-    """High-pass filter without the final clip; shared by tests."""
-    h, w = img.shape[:2]
-    keep = centered_distances(h, w) >= radius
-    out = np.empty_like(img)
-    for c in range(img.shape[2]):
-        spectrum = dft2(img[:, :, c])
-        plane = idft2(Spectrum(h, w, spectrum.coefficients * keep))
-        # Removing the DC coefficient zero-centers the plane; shift it back
-        # to mid-gray so the output stays viewable.
-        out[:, :, c] = plane + 0.5 if radius > 0.0 else plane
-    return out
+def _high_pass_raw(images: np.ndarray, radius: float) -> np.ndarray:
+    """High-pass filter without the final clip; shared by tests. images is
+    one (h, w, c) image or an (n, h, w, c) stack, filtered plane by plane."""
+    h, w = images.shape[-3:-1]
+    # Masking the unshifted spectrum with the unshifted mask equals masking
+    # the centered spectrum with the centered one.
+    keep = np.fft.ifftshift(centered_distances(h, w) >= radius)[:, :, None]
+    spectra = np.fft.fft2(images, axes=(-3, -2), norm="ortho")
+    back = np.fft.ifft2(spectra * keep, axes=(-3, -2), norm="ortho")
+    if np.max(np.abs(back.imag), initial=0.0) >= _IMAG_LIMIT:
+        raise ValueError("non-real inverse")
+    # Removing the DC coefficient zero-centers each plane; shift it back to
+    # mid-gray so the output stays viewable.
+    return back.real + 0.5 if radius > 0.0 else np.ascontiguousarray(back.real)
 
 
-def high_pass(img: np.ndarray, radius: float) -> np.ndarray:
+def high_pass(images: np.ndarray, radius: float) -> np.ndarray:
     """Zero every spectrum coefficient strictly closer than radius to the
-    zero frequency, per channel, and invert.  radius = 0 removes nothing and
-    returns the input unchanged."""
-    if img.ndim != 3:
-        raise ValueError("expected an image tensor")
+    zero frequency, per channel, and invert, for one (h, w, c) image or an
+    (n, h, w, c) stack.  radius = 0 removes nothing and returns the input
+    unchanged."""
+    if images.ndim not in (3, 4):
+        raise ValueError("expected an image tensor or a stack of them")
     if radius < 0:
         raise ValueError("negative radius")
     if radius == 0.0:
-        return img.copy()
-    return clip_unit(_high_pass_raw(img, radius))
+        return images.copy()
+    return clip_unit(_high_pass_raw(images, radius))
 
 
 def format_heatmap_csv(hm: FourierHeatmap) -> str:

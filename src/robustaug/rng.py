@@ -3,8 +3,8 @@
 Every random decision in this package is drawn from an explicitly derived
 stream so that a run is a pure function of (seed, image index, op tag).
 Streams are cheap to create, independent of each other, and stable across
-processes and worker counts, which is what makes parallel dataset maps
-byte-reproducible.
+processes, batch boundaries and worker counts, which is what makes batched
+and parallel dataset maps byte-reproducible.
 
 Generator: xoshiro256** with SplitMix64 seeding.
 
@@ -40,10 +40,10 @@ Python integer arithmetic, the cheaper form for a single origin. A batch
 whose streams share seed and tag skips the stream objects: derive_states
 computes the (4, N) state array of N indices with uint64 array arithmetic,
 column j equal to derive_stream(seed, indices[j], tag)._state, and the
-lockstep draws continue on that array. next_units and next_ints take one
-draw per column (next_ints re-draws only the columns it rejected, and a
-column with lo == hi draws nothing), and lockstep_fields then draws each
-column's normal field, as the scalar calls in the same order would.
+lockstep draws continue on that array: next_units draws each column's
+uniform field (one unit by default), next_ints one integer per column
+(re-drawing only rejected columns; lo == hi draws nothing) and
+lockstep_fields each column's normal field, as the scalar calls would.
 """
 
 from __future__ import annotations
@@ -346,9 +346,13 @@ def derive_states(seed: int, indices, tag: str) -> np.ndarray:
     return states
 
 
-def next_units(states) -> np.ndarray:
-    """One next_unit() per column of a (4, N) state array, as an (N,) array."""
-    return _lockstep_units(states, 1)[0]
+def next_units(states, shape=()) -> np.ndarray:
+    """Uniform fields of the columns of a (4, N) state array, shape
+    (N,) + shape: entry j is unit_array(prod(shape)) of column j's stream,
+    filled in row-major order. The default shape () draws one next_unit()
+    per column."""
+    n = math.prod(int(dim) for dim in shape)
+    return np.ascontiguousarray(_lockstep_units(states, n).T).reshape((states.shape[1],) + tuple(shape))
 
 
 def next_ints(states, lo, hi) -> np.ndarray:

@@ -4,11 +4,13 @@ import math
 
 import numpy as np
 import pytest
+from scipy import stats
 
 from robustaug.augment import apply_gaussian_kernel
 from robustaug.corrupt import (
     CORRUPTION_KINDS,
     DEFAULT_SEVERITY,
+    NOISE_KINDS,
     SIGMA_SUITE,
     CorruptionSpec,
     corrupt,
@@ -18,12 +20,32 @@ from robustaug.corrupt import (
     resolve_param,
     validate_severity_table,
 )
-from robustaug.images import LabeledDataset
+from robustaug.images import LabeledDataset, clip_unit
 from robustaug.rng import derive_stream
 
 
 def random_image(seed, h=16, w=16, c=3):
     return np.random.default_rng(seed).random((h, w, c))
+
+
+def corrupt_one(img, spec, seed=None, index=0, tag=""):
+    """corrupt on a batch of one image whose stream origin is (seed, index, tag)."""
+    return corrupt(img[None], spec, seed, [index], tag)[0]
+
+
+def scalar_noise(img, kind, param, rng):
+    """Reference noise kinds on one image, drawing from one RngStream in the
+    order the corrupt module documents."""
+    if kind == "gaussian_noise":
+        return apply_gaussian_kernel(img, param, rng.normal_field(img.shape))
+    if kind == "shot_noise":
+        u = rng.unit_array(img.size).reshape(img.shape)
+        return clip_unit(np.maximum(stats.poisson.ppf(u, img * param), 0.0) / param)
+    u = rng.unit_array(img.shape[0] * img.shape[1]).reshape(img.shape[:2])
+    out = img.copy()
+    out[u < param / 2] = 0.0
+    out[(u >= param / 2) & (u < param)] = 1.0
+    return out
 
 
 def test_spec_validation():
@@ -39,18 +61,18 @@ def test_spec_validation():
 
 def test_brightness_zero_identity():
     img = random_image(0)
-    out = corrupt(img, CorruptionSpec(kind="brightness", param=0.0))
+    out = corrupt_one(img, CorruptionSpec(kind="brightness", param=0.0))
     assert np.array_equal(out, img)
 
 
 def test_brightness_shifts_and_clips():
-    out = corrupt(np.full((2, 2, 1), 0.9), CorruptionSpec(kind="brightness", param=0.3))
+    out = corrupt_one(np.full((2, 2, 1), 0.9), CorruptionSpec(kind="brightness", param=0.3))
     assert np.all(out == 1.0)
 
 
 def test_contrast_zero_collapses_to_channel_mean():
     img = random_image(1)
-    out = corrupt(img, CorruptionSpec(kind="contrast", param=0.0))
+    out = corrupt_one(img, CorruptionSpec(kind="contrast", param=0.0))
     m = img.mean(axis=(0, 1))
     for c in range(3):
         assert np.allclose(out[:, :, c], m[c], atol=1e-12)
@@ -58,20 +80,20 @@ def test_contrast_zero_collapses_to_channel_mean():
 
 def test_contrast_one_identity():
     img = random_image(2)
-    out = corrupt(img, CorruptionSpec(kind="contrast", param=1.0))
+    out = corrupt_one(img, CorruptionSpec(kind="contrast", param=1.0))
     assert np.allclose(out, img, atol=1e-15)
 
 
 def test_pixelate_full_width_block_average():
     img = np.random.default_rng(3).random((4, 4, 1))
-    out = corrupt(img, CorruptionSpec(kind="pixelate", param=4.0))
+    out = corrupt_one(img, CorruptionSpec(kind="pixelate", param=4.0))
     expected = math.fsum(img[y, x, 0] for y in range(4) for x in range(4)) / 16
     assert np.allclose(out, expected, atol=1e-12)
 
 
 def test_pixelate_hand_blocks():
     img = np.random.default_rng(4).random((4, 6, 1))
-    out = corrupt(img, CorruptionSpec(kind="pixelate", param=2.0))
+    out = corrupt_one(img, CorruptionSpec(kind="pixelate", param=2.0))
     for by in range(0, 4, 2):
         for bx in range(0, 6, 2):
             block = img[by : by + 2, bx : bx + 2, 0]
@@ -80,7 +102,7 @@ def test_pixelate_hand_blocks():
 
 def test_pixelate_ragged_blocks():
     img = np.random.default_rng(5).random((5, 5, 1))
-    out = corrupt(img, CorruptionSpec(kind="pixelate", param=3.0))
+    out = corrupt_one(img, CorruptionSpec(kind="pixelate", param=3.0))
     corner = img[3:5, 3:5, 0]
     assert np.allclose(out[3:5, 3:5, 0], corner.mean(), atol=1e-12)
 
@@ -88,7 +110,7 @@ def test_pixelate_ragged_blocks():
 def test_defocus_matches_nested_loop_oracle():
     img = np.random.default_rng(6).random((6, 7, 1))
     radius = 2.0
-    out = corrupt(img, CorruptionSpec(kind="defocus_blur", param=radius))
+    out = corrupt_one(img, CorruptionSpec(kind="defocus_blur", param=radius))
     span = 2
     taps = [
         (dy, dx)
@@ -106,28 +128,45 @@ def test_defocus_matches_nested_loop_oracle():
 
 def test_defocus_radius_zero_identity():
     img = random_image(7)
-    out = corrupt(img, CorruptionSpec(kind="defocus_blur", param=0.0))
+    out = corrupt_one(img, CorruptionSpec(kind="defocus_blur", param=0.0))
     assert np.allclose(out, img, atol=1e-15)
 
 
 def test_gaussian_noise_shares_augment_kernel():
     img = random_image(8)
     sigma = 0.37
-    out = corrupt(img, CorruptionSpec(kind="gaussian_noise", param=sigma), derive_stream(5, 4, "gn"))
+    out = corrupt_one(img, CorruptionSpec(kind="gaussian_noise", param=sigma), 5, 4, "gn")
     field = derive_stream(5, 4, "gn").normal_field(img.shape)
     assert np.array_equal(out, apply_gaussian_kernel(img, sigma, field))
 
 
+@pytest.mark.parametrize("n", [1, 7, 130])
+@pytest.mark.parametrize("kind", CORRUPTION_KINDS)
+def test_batch_matches_batches_of_one(kind, n):
+    # 5x3x3 fields are odd-sized, and 130 images span two lockstep groups.
+    images = np.random.default_rng(n).random((n, 5, 3, 3))
+    indices = np.arange(n) * 7 - 3
+    spec = CorruptionSpec(kind=kind, severity=5)
+    got = corrupt(images, spec, 9, indices, "batch")
+    for j in range(n):
+        one = corrupt_one(images[j], spec, 9, indices[j], "batch")
+        assert np.array_equal(got[j], one)
+        if kind in NOISE_KINDS:
+            stream = derive_stream(9, int(indices[j]), "batch")
+            want = scalar_noise(images[j], kind, DEFAULT_SEVERITY[kind][4], stream)
+            assert np.array_equal(one, want)
+
+
 def test_shot_noise_large_lambda_near_identity():
     img = np.full((32, 32, 1), 0.5)
-    out = corrupt(img, CorruptionSpec(kind="shot_noise", param=1e6), derive_stream(1, 0, "shot"))
+    out = corrupt_one(img, CorruptionSpec(kind="shot_noise", param=1e6), 1, 0, "shot")
     assert np.abs(out - img).mean() < 1e-2
 
 
 def test_shot_noise_counts_are_integers():
     img = random_image(9, 8, 8, 1)
     lam = 60.0
-    out = corrupt(img, CorruptionSpec(kind="shot_noise", param=lam), derive_stream(2, 0, "shot"))
+    out = corrupt_one(img, CorruptionSpec(kind="shot_noise", param=lam), 2, 0, "shot")
     unclipped = out[out < 1.0]
     counts = unclipped * lam
     assert np.allclose(counts, np.round(counts), atol=1e-9)
@@ -135,15 +174,15 @@ def test_shot_noise_counts_are_integers():
 
 def test_shot_noise_black_stays_black():
     img = np.zeros((4, 4, 1))
-    out = corrupt(img, CorruptionSpec(kind="shot_noise", param=100.0), derive_stream(3, 0, "shot"))
+    out = corrupt_one(img, CorruptionSpec(kind="shot_noise", param=100.0), 3, 0, "shot")
     assert np.array_equal(out, img)
 
 
 def test_impulse_noise_extremes():
     img = random_image(10, 8, 8, 3)
-    out = corrupt(img, CorruptionSpec(kind="impulse_noise", param=0.0), derive_stream(4, 0, "imp"))
+    out = corrupt_one(img, CorruptionSpec(kind="impulse_noise", param=0.0), 4, 0, "imp")
     assert np.array_equal(out, img)
-    out = corrupt(img, CorruptionSpec(kind="impulse_noise", param=1.0), derive_stream(4, 0, "imp"))
+    out = corrupt_one(img, CorruptionSpec(kind="impulse_noise", param=1.0), 4, 0, "imp")
     assert np.all((out == 0.0) | (out == 1.0))
     frac_white = np.count_nonzero(out[:, :, 0] == 1.0) / 64
     assert 0.2 < frac_white < 0.8  # equal probability, small sample
@@ -151,7 +190,7 @@ def test_impulse_noise_extremes():
 
 def test_impulse_noise_whole_pixel_replacement():
     img = random_image(11, 16, 16, 3)
-    out = corrupt(img, CorruptionSpec(kind="impulse_noise", param=0.5), derive_stream(5, 0, "imp"))
+    out = corrupt_one(img, CorruptionSpec(kind="impulse_noise", param=0.5), 5, 0, "imp")
     changed = np.any(out != img, axis=2)
     for y, x in zip(*np.nonzero(changed)):
         assert out[y, x, 0] == out[y, x, 1] == out[y, x, 2]
@@ -162,22 +201,22 @@ def test_outputs_stay_in_unit_range():
     img = random_image(12)
     for kind in CORRUPTION_KINDS:
         for level in range(1, 6):
-            out = corrupt(img, CorruptionSpec(kind=kind, severity=level), derive_stream(6, level, kind))
+            out = corrupt_one(img, CorruptionSpec(kind=kind, severity=level), 6, level, kind)
             assert out.min() >= 0.0 and out.max() <= 1.0, kind
 
 
 def test_severity_monotone_mean_change():
     # 32x32 is the size this toolkit's default table is documented for.
-    images = [random_image(100 + i, 32, 32, 3) for i in range(6)]
+    images = np.stack([random_image(100 + i, 32, 32, 3) for i in range(6)])
     for kind in CORRUPTION_KINDS:
         changes = []
         for level in range(1, 6):
             spec = CorruptionSpec(kind=kind, severity=level)
+            # Same stream per image across levels: paired comparison.
+            out = corrupt(images, spec, 7, tag=f"mono/{kind}")
             total = 0.0
             for i, img in enumerate(images):
-                # Same stream per image across levels: paired comparison.
-                out = corrupt(img, spec, derive_stream(7, i, f"mono/{kind}"))
-                total += np.abs(out - img).mean()
+                total += np.abs(out[i] - img).mean()
             changes.append(total / len(images))
         for a, b in zip(changes, changes[1:]):
             assert b >= a - 1e-12, (kind, changes)
@@ -186,13 +225,17 @@ def test_severity_monotone_mean_change():
 def test_unknown_kind_and_domain_errors():
     img = random_image(13)
     with pytest.raises(ValueError, match="out of domain"):
-        corrupt(img, CorruptionSpec(kind="impulse_noise", param=1.5), derive_stream(0, 0, "x"))
+        corrupt_one(img, CorruptionSpec(kind="impulse_noise", param=1.5), 0, 0, "x")
     with pytest.raises(ValueError, match="out of domain"):
-        corrupt(img, CorruptionSpec(kind="shot_noise", param=0.0), derive_stream(0, 0, "x"))
+        corrupt_one(img, CorruptionSpec(kind="shot_noise", param=0.0), 0, 0, "x")
     with pytest.raises(ValueError, match="out of domain"):
-        corrupt(img, CorruptionSpec(kind="pixelate", param=2.5))
+        corrupt_one(img, CorruptionSpec(kind="pixelate", param=2.5))
+    for kind in CORRUPTION_KINDS:
+        for param in (math.nan, math.inf, -math.inf):
+            with pytest.raises(ValueError, match="out of domain"):
+                corrupt_one(img, CorruptionSpec(kind=kind, param=param), 0, 0, "x")
     with pytest.raises(ValueError, match="requires an rng"):
-        corrupt(img, CorruptionSpec(kind="gaussian_noise", param=0.1))
+        corrupt_one(img, CorruptionSpec(kind="gaussian_noise", param=0.1))
 
 
 def test_severity_table_round_trip():
@@ -246,14 +289,6 @@ def test_suite_determinism():
     for (_, da), (_, db) in zip(a, b):
         assert np.array_equal(da.images, db.images)
     assert not np.array_equal(a[0][1].images, c[0][1].images)
-
-
-def test_suite_parallel_matches_sequential():
-    d = make_dataset(17)
-    seq = gaussian_eval_suite(d, seed=7, workers=1)
-    par = gaussian_eval_suite(d, seed=7, workers=4)
-    for (_, ds), (_, dp) in zip(seq, par):
-        assert np.array_equal(ds.images, dp.images)
 
 
 def test_suite_empty_dataset():

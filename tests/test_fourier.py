@@ -265,6 +265,19 @@ def test_high_pass_matches_subtraction_oracle():
     assert np.max(np.abs(high_pass(img, r) - oracle)) < 1e-9
 
 
+@pytest.mark.parametrize("c", [1, 3])
+def test_high_pass_stack_matches_single_images(c):
+    stack = np.random.default_rng(18).random((37, 9, 7, c))
+    got = high_pass(stack, 2.5)
+    assert got.shape == stack.shape
+    keep = centered_distances(9, 7) >= 2.5
+    for i in range(len(stack)):
+        assert np.array_equal(got[i], high_pass(stack[i], 2.5))
+        # The per-plane centered-spectrum filter, bit for bit.
+        planes = [idft2(Spectrum(9, 7, dft2(stack[i, :, :, ch]).coefficients * keep)) + 0.5 for ch in range(c)]
+        assert np.array_equal(got[i], np.clip(np.stack(planes, axis=2), 0.0, 1.0))
+
+
 def test_band_complement_reconstruction():
     rng = np.random.default_rng(17)
     dist = centered_distances(8, 8)

@@ -13,8 +13,14 @@ The 3-channel patch checkpoint and the CLI gaussian_noise tree cover uneven
 lockstep groups, crop rejection and a pending normal on the batch paths.
 The CLI corrupt trees (every other kind at severities 1 and 5) and the
 highpass tree run on 101 images of 1 and 3 channels each.
+
+The digests were recorded with numpy's bundled OpenBLAS, whose DYNAMIC_ARCH
+build picks its kernels for the CPU at run time, so a failure message names
+the BLAS and its live configuration: a digest that differs only on another
+machine or BLAS points at the environment before it points at the code.
 """
 
+import ctypes
 import hashlib
 
 import numpy as np
@@ -28,6 +34,33 @@ from robustaug.fourier import format_heatmap_csv, half_plane_frequencies, sensit
 from robustaug.images import LabeledDataset, channel_mean
 from robustaug.model import TrainConfig, encode_model, init_toy_model, predict, synth_dataset, train
 from robustaug.rng import derive_stream
+
+
+def blas_environment() -> str:
+    """numpy's BLAS build, then the run-time configuration (the kernel core
+    chosen) and thread count of each OpenBLAS loaded into this process."""
+    try:
+        blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
+        notes = [f"numpy {np.__version__} built with {blas['name']} {blas['version']}"]
+    except (TypeError, KeyError):  # numpy before 1.26 reports no dict
+        notes = [f"numpy {np.__version__}"]
+    try:
+        with open("/proc/self/maps", encoding="ascii", errors="replace") as f:
+            paths = sorted({line.split()[-1] for line in f if "openblas" in line.lower()})
+    except OSError:
+        paths = []
+    for path in paths:
+        lib = ctypes.CDLL(path)
+        for prefix in ("", "scipy_"):
+            for suffix in ("", "64_"):
+                config = getattr(lib, f"{prefix}openblas_get_config{suffix}", None)
+                threads = getattr(lib, f"{prefix}openblas_get_num_threads{suffix}", None)
+                if config is not None and threads is not None:
+                    config.argtypes, config.restype = [], ctypes.c_char_p
+                    threads.argtypes, threads.restype = [], ctypes.c_int
+                    notes.append(f"{path.rsplit('/', 1)[-1]}: {config().decode('ascii', 'replace')}, "
+                                 f"{threads()} threads")
+    return "; ".join(notes)
 
 
 def _sha(*arrays) -> str:
@@ -73,7 +106,7 @@ def train_digest(name: str) -> str:
 
 @pytest.mark.parametrize("name", sorted(TRAIN_CASES))
 def test_train_checkpoint_digest(name):
-    assert train_digest(name) == TRAIN_DIGESTS[name]
+    assert train_digest(name) == TRAIN_DIGESTS[name], blas_environment()
 
 
 PIPELINE_DIGESTS = {
@@ -103,7 +136,7 @@ def pipeline_digest(order: str, pad: int) -> str:
 
 @pytest.mark.parametrize("order,pad", sorted(PIPELINE_DIGESTS))
 def test_pipeline_digest(order, pad):
-    assert pipeline_digest(order, pad) == PIPELINE_DIGESTS[order, pad]
+    assert pipeline_digest(order, pad) == PIPELINE_DIGESTS[order, pad], blas_environment()
 
 
 SYNTH_DIGEST = "dc4dad84659aedb0044d766c2c387098b7073b27ce3afc9b3f497d18c98d8ebf"
@@ -141,15 +174,15 @@ def cli_augment_digest(tmp_path) -> str:
 
 
 def test_synth_dataset_digest():
-    assert synth_digest() == SYNTH_DIGEST
+    assert synth_digest() == SYNTH_DIGEST, blas_environment()
 
 
 def test_gaussian_eval_suite_digest():
-    assert suite_digest() == SUITE_DIGEST
+    assert suite_digest() == SUITE_DIGEST, blas_environment()
 
 
 def test_cli_augment_tree_digest(tmp_path):
-    assert cli_augment_digest(tmp_path) == CLI_AUGMENT_DIGEST
+    assert cli_augment_digest(tmp_path) == CLI_AUGMENT_DIGEST, blas_environment()
 
 
 CLI_GAUSSIAN_NOISE_DIGEST = "9f5f4dee831f74433d5e3c0e94fae059f5a126875ba18240d6821873ee8f165b"
@@ -167,7 +200,7 @@ def cli_gaussian_noise_digest(tmp_path) -> str:
 
 
 def test_cli_gaussian_noise_tree_digest(tmp_path):
-    assert cli_gaussian_noise_digest(tmp_path) == CLI_GAUSSIAN_NOISE_DIGEST
+    assert cli_gaussian_noise_digest(tmp_path) == CLI_GAUSSIAN_NOISE_DIGEST, blas_environment()
 
 
 def color_dataset(seed: int, n: int) -> LabeledDataset:
@@ -202,18 +235,18 @@ def patch_color_model():
 
 
 def test_patch_color_checkpoint_digest():
-    assert hashlib.sha256(encode_model(patch_color_model())).hexdigest() == PATCH_COLOR_DIGEST
+    assert hashlib.sha256(encode_model(patch_color_model())).hexdigest() == PATCH_COLOR_DIGEST, blas_environment()
 
 
 def test_flip_only_color_checkpoint_digest():
-    assert hashlib.sha256(encode_model(flip_only_color_model())).hexdigest() == FLIP_ONLY_COLOR_DIGEST
+    assert hashlib.sha256(encode_model(flip_only_color_model())).hexdigest() == FLIP_ONLY_COLOR_DIGEST, blas_environment()
 
 
 def test_predict_color_labels_digest():
     rng = np.random.default_rng(16)
     labels = predict(flip_only_color_model(), rng.random((37, 1, 1, 3)) * rng.random((37, 12, 12, 3)))
     assert len(set(labels.tolist())) == 3
-    assert _sha(labels) == PREDICT_COLOR_DIGEST
+    assert _sha(labels) == PREDICT_COLOR_DIGEST, blas_environment()
 
 
 HEATMAP_DIGESTS = {
@@ -236,7 +269,7 @@ def heatmap_csv(probe: str) -> str:
 
 @pytest.mark.parametrize("probe", sorted(HEATMAP_DIGESTS))
 def test_heatmap_csv_digest(probe):
-    assert hashlib.sha256(heatmap_csv(probe).encode("ascii")).hexdigest() == HEATMAP_DIGESTS[probe]
+    assert hashlib.sha256(heatmap_csv(probe).encode("ascii")).hexdigest() == HEATMAP_DIGESTS[probe], blas_environment()
 
 
 def cli_tree_digest(tmp_path, *argv) -> str:
@@ -270,11 +303,11 @@ CLI_CORRUPT_DIGESTS = {
 @pytest.mark.parametrize("kind,severity", sorted(CLI_CORRUPT_DIGESTS))
 def test_cli_corrupt_tree_digest(tmp_path, kind, severity):
     digest = cli_tree_digest(tmp_path, "corrupt", "--seed", "24", "--kind", kind, "--severity", str(severity))
-    assert digest == CLI_CORRUPT_DIGESTS[kind, severity]
+    assert digest == CLI_CORRUPT_DIGESTS[kind, severity], blas_environment()
 
 
 CLI_HIGHPASS_DIGEST = "a2dd315b9dd7e6883fd4918889f163358afa6b769b198f07c5f67eb0bc828679"
 
 
 def test_cli_highpass_tree_digest(tmp_path):
-    assert cli_tree_digest(tmp_path, "highpass", "--radius", "2.5") == CLI_HIGHPASS_DIGEST
+    assert cli_tree_digest(tmp_path, "highpass", "--radius", "2.5") == CLI_HIGHPASS_DIGEST, blas_environment()

@@ -68,3 +68,15 @@ def test_heatmap_csv_missing_field_is_a_value_error(text):
     # heatmap that format_heatmap_csv could not write back.
     with pytest.raises(ValueError):
         parse_heatmap_csv(text)
+
+
+@pytest.mark.parametrize("token", ["nan", "inf", "-inf", "NaN", "+Infinity"])
+def test_severity_table_non_finite_parameter_is_a_value_error(token):
+    # float() accepts these tokens, and byte flips of a valid table cannot
+    # produce them; "nan" used to parse because it fails no comparison.
+    lines = format_severity_table(DEFAULT_SEVERITY).splitlines()
+    for i in range(1, len(lines)):
+        kind, level, _ = lines[i].split()
+        bad = lines[:i] + [f"{kind} {level} {token}"] + lines[i + 1:]
+        with pytest.raises(ValueError, match="out of domain"):
+            parse_severity_table("\n".join(bad))

@@ -252,7 +252,8 @@ def test_derive_states_share_the_all_zero_guard(monkeypatch):
 def test_lockstep_draws_match_scalar_draws(columns):
     """next_units and next_ints against the scalar calls, for spans 1, 3, 5,
     9 and 33 (9 and 33 reject about half their draws) and a span that
-    differs per column, with the states compared after every draw."""
+    differs per column, then a 3x5 next_units field against unit_array,
+    with the states compared after every draw."""
     indices = np.arange(columns) * 3 - 1
     states = derive_states(41, indices, "draws")
     streams = [derive_stream(41, int(i), "draws") for i in indices]
@@ -267,6 +268,9 @@ def test_lockstep_draws_match_scalar_draws(columns):
             assert got.dtype == np.int64
         assert got.tolist() == want
         assert np.array_equal(states, np.stack([s._state for s in streams], axis=1))
+    fields = next_units(states, (3, 5))
+    assert np.array_equal(fields, np.stack([s.unit_array(15).reshape(3, 5) for s in streams]))
+    assert np.array_equal(states, np.stack([s._state for s in streams], axis=1))
 
 
 def test_lockstep_int_degenerate_range_consumes_nothing_and_rejects_empty():
