@@ -223,6 +223,8 @@ def corrupt(
     """Apply one corruption to a batch of images, shape (n, h, w, c). Noise
     kinds require a seed: image j draws from the (seed, indices[j], tag)
     stream, indices defaulting to range(n)."""
+    if images.ndim != 4:
+        raise ValueError("expected an (n, h, w, c) image batch")
     param = resolve_param(spec, table)
     _check_domain(spec.kind, param)
     if spec.kind == "brightness":

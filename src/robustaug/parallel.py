@@ -1,4 +1,4 @@
-"""Order-preserving parallel map over dataset indices.
+"""Order-preserving parallel map over indices.
 
 Results depend only on the index each worker receives, never on worker
 count or scheduling, so parallel and sequential runs are byte-identical.

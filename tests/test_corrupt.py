@@ -234,6 +234,8 @@ def test_unknown_kind_and_domain_errors():
         for param in (math.nan, math.inf, -math.inf):
             with pytest.raises(ValueError, match="out of domain"):
                 corrupt_one(img, CorruptionSpec(kind=kind, param=param), 0, 0, "x")
+    with pytest.raises(ValueError, match="image batch"):
+        corrupt(img, CorruptionSpec(kind="brightness", param=0.1))  # one image, not a batch
     with pytest.raises(ValueError, match="requires an rng"):
         corrupt_one(img, CorruptionSpec(kind="gaussian_noise", param=0.1))
 

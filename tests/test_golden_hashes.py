@@ -50,7 +50,10 @@ def blas_environment() -> str:
     except OSError:
         paths = []
     for path in paths:
-        lib = ctypes.CDLL(path)
+        try:
+            lib = ctypes.CDLL(path)
+        except OSError:  # a mapping of a file since deleted or replaced
+            continue
         for prefix in ("", "scipy_"):
             for suffix in ("", "64_"):
                 config = getattr(lib, f"{prefix}openblas_get_config{suffix}", None)
