@@ -6,24 +6,28 @@ interpolate between those endpoints: growing the patch to cover the image
 recovers whole-image Gaussian exactly, and large sigma saturates the patch
 interior to pure 0/1 noise, an approximation of Cutout.
 
-Every op draws from an RngStream in a fixed, documented order so that runs
-are reproducible across processes and implementations:
+run_pipeline_batch augments a batch of images addressed by origin (seed,
+index, tag). Image i draws from the "aug" and "flipcrop" children of its
+origin in a fixed, documented order, so runs are reproducible across
+processes, batch boundaries and implementations:
 
-    apply_gaussian        sigma = sigma_max * next_unit, then one
-                          next_normal per element (row-major,
-                          channel-interleaved)
-    apply_cutout          center x, then center y (next_int)
-    apply_patch_gaussian  effective patch size (next_int, only when
-                          sample_up_to), center x, center y,
-                          sigma = sigma_max * next_unit, then the
-                          full-image normal field
-    flip_and_crop         flip decision (next_unit < 0.5 flips), then crop
-                          offset x, then y (next_int over [0, 2*pad])
+    aug, gaussian        sigma = sigma_max * unit, then one normal per
+                         element (row-major, channel-interleaved)
+    aug, cutout          center x over [0, w - 1], then center y over
+                         [0, h - 1] (integers)
+    aug, patch_gaussian  effective patch size over [1, patch_size] (an
+                         integer, only when sample_up_to), center x,
+                         center y, sigma = sigma_max * unit, then the
+                         full-image normal field
+    flipcrop             flip decision (unit < 0.5 flips), then, when
+                         pad > 0, crop offset x, then y (integers over
+                         [0, 2 * pad])
 
-run_pipeline_batch is run_pipeline over a batch of origins (seed, index,
-tag) that builds no stream per image: it derives the state arrays of the
-batch's "aug" and "flipcrop" children, makes each draw above for the whole
-batch in lockstep, and applies each kernel to the whole batch at once.
+It builds no stream per image: it derives the state arrays of the batch's
+children and makes each draw for the whole batch in lockstep. The kernels
+take those draws explicitly (rect_masks, gaussian_batch, cutout_batch,
+_flip_and_crop_batch) and run on the whole batch at once. run_pipeline is
+the same pipeline on one image.
 
 The noisy copy is clipped to [0, 1] before the patch is combined with the
 original, so border pixels of the patch never exceed the unit range. All
@@ -42,24 +46,6 @@ from .rng import RngStream, child_tag_of, derive_states, lockstep_fields, next_i
 
 KINDS = ("none", "gaussian", "cutout", "patch_gaussian")
 ORDERS = ("augment_then_flipcrop", "flipcrop_then_augment")
-
-
-@dataclass(frozen=True)
-class PatchRect:
-    """Half-open pixel rectangle [start, end) on each axis."""
-
-    start_x: int
-    start_y: int
-    end_x: int
-    end_y: int
-
-    @property
-    def width(self) -> int:
-        return self.end_x - self.start_x
-
-    @property
-    def height(self) -> int:
-        return self.end_y - self.start_y
 
 
 @dataclass(frozen=True)
@@ -91,87 +77,38 @@ class AugmentSpec:
             raise ValueError("pad must be >= 0")
 
 
-def rect_from_center(cx: int, cy: int, h: int, w: int, patch: int) -> PatchRect:
-    """Rect of side `patch` centered at (cx, cy), clipped to the image.
+def rect_masks(cx, cy, h: int, w: int, patch) -> np.ndarray:
+    """(n, h, w) masks of the squares of side patch centered at (cx[i],
+    cy[i]), clipped to the image; patch is an int or one size per image.
 
-    start = center - floor(patch/2), end = center + ceil(patch/2). The
-    unclipped rect always contains the center, so a clipped rect is never
-    empty when the center lies inside the image.
+    Each axis spans [center - floor(patch/2), center + ceil(patch/2)). The
+    unclipped square always contains the center, so a mask is never empty
+    when the center lies inside the image.
     """
-    lo = patch // 2
+    lo = np.asarray(patch) // 2
     hi = patch - lo
-    return PatchRect(
-        start_x=max(0, cx - lo),
-        start_y=max(0, cy - lo),
-        end_x=min(w, cx + hi),
-        end_y=min(h, cy + hi),
-    )
+    rows = np.arange(h) - np.asarray(cy)[:, None]
+    cols = np.arange(w) - np.asarray(cx)[:, None]
+    in_rows = (rows >= -lo[..., None]) & (rows < hi[..., None])
+    in_cols = (cols >= -lo[..., None]) & (cols < hi[..., None])
+    return in_rows[:, :, None] & in_cols[:, None, :]
 
 
-def sample_patch_bounds(rng: RngStream, h: int, w: int, patch: int) -> PatchRect:
-    """Draw a patch center uniformly over the image (x first, then y)."""
-    if patch < 1:
-        raise ValueError("patch must be >= 1")
-    if h < 1 or w < 1:
-        raise ValueError("image extent must be >= 1")
-    cx = rng.next_int(0, w - 1)
-    cy = rng.next_int(0, h - 1)
-    return rect_from_center(cx, cy, h, w, patch)
+def gaussian_batch(images: np.ndarray, sigma, noise: np.ndarray, masks=None) -> np.ndarray:
+    """clip_unit(images[i] + sigma[i] * noise[i]) for each image of an
+    (n, h, w, c) batch, with one sigma per image. With (n, h, w) masks the
+    noisy copy replaces each image only inside its mask."""
+    if noise.shape != images.shape:
+        raise ValueError(f"shape mismatch: images {images.shape} vs noise {noise.shape}")
+    noisy = clip_unit(images + np.asarray(sigma)[:, None, None, None] * noise)
+    return noisy if masks is None else np.where(masks[..., None], noisy, images)
 
 
-def apply_gaussian_kernel(img: np.ndarray, sigma: float, noise: np.ndarray) -> np.ndarray:
-    """clip_unit(img + sigma * noise) with an explicit noise field."""
-    if noise.shape != img.shape:
-        raise ValueError(f"shape mismatch: img {img.shape} vs noise {noise.shape}")
-    return clip_unit(img + sigma * noise)
-
-
-def patch_gaussian_kernel(
-    img: np.ndarray, rect: PatchRect, sigma: float, noise: np.ndarray
-) -> np.ndarray:
-    """Noisy copy inside rect, original outside (clip before combine)."""
-    noisy = apply_gaussian_kernel(img, sigma, noise)
-    out = img.copy()
-    out[rect.start_y : rect.end_y, rect.start_x : rect.end_x] = noisy[
-        rect.start_y : rect.end_y, rect.start_x : rect.end_x
-    ]
-    return out
-
-
-def cutout_kernel(img: np.ndarray, rect: PatchRect, fill) -> np.ndarray:
-    """Constant per-channel fill inside rect, original outside."""
-    out = img.copy()
-    out[rect.start_y : rect.end_y, rect.start_x : rect.end_x] = np.asarray(fill, dtype=np.float64)
-    return out
-
-
-def apply_gaussian(img: np.ndarray, spec: AugmentSpec, rng: RngStream) -> np.ndarray:
-    """Whole-image Gaussian noise with sigma drawn from [0, sigma_max)."""
-    sigma = spec.sigma_max * rng.next_unit()
-    noise = rng.normal_field(img.shape)
-    return apply_gaussian_kernel(img, sigma, noise)
-
-
-def apply_cutout(img: np.ndarray, spec: AugmentSpec, rng: RngStream) -> np.ndarray:
-    """Square patch replaced by the constant fill color."""
-    if len(spec.fill) == 0:
-        raise ValueError("cutout requires a fill color")
-    h, w, _ = img.shape
-    rect = sample_patch_bounds(rng, h, w, spec.patch_size)
-    return cutout_kernel(img, rect, spec.fill)
-
-
-def apply_patch_gaussian(img: np.ndarray, spec: AugmentSpec, rng: RngStream) -> np.ndarray:
-    """Square patch of Gaussian noise; see the module draw-order table."""
-    h, w, _ = img.shape
-    patch = spec.patch_size
-    if spec.sample_up_to:
-        # Inclusive upper end: the configured size is the maximum.
-        patch = rng.next_int(1, spec.patch_size)
-    rect = sample_patch_bounds(rng, h, w, patch)
-    sigma = spec.sigma_max * rng.next_unit()
-    noise = rng.normal_field(img.shape)
-    return patch_gaussian_kernel(img, rect, sigma, noise)
+def cutout_batch(images: np.ndarray, masks: np.ndarray, fill) -> np.ndarray:
+    """Constant per-channel fill inside each (n, h, w) mask, original outside."""
+    if len(fill) != images.shape[-1]:
+        raise ValueError(f"cutout requires a fill color per channel: got {len(fill)} for {images.shape[-1]}")
+    return np.where(masks[..., None], np.asarray(fill, dtype=np.float64), images)
 
 
 def mirror(images: np.ndarray) -> np.ndarray:
@@ -180,8 +117,8 @@ def mirror(images: np.ndarray) -> np.ndarray:
 
 
 def draw_flips(states) -> np.ndarray:
-    """The flip decisions of flip_and_crop, its first draw, for the columns
-    of a "flipcrop" state array."""
+    """The flip decisions, the first "flipcrop" draw, for the columns of a
+    "flipcrop" state array."""
     return next_units(states) < 0.5
 
 
@@ -190,91 +127,43 @@ def flip_only(spec: AugmentSpec) -> bool:
     return spec.kind == "none" and spec.pad == 0
 
 
-def flip_and_crop(img: np.ndarray, pad: int, rng: RngStream) -> np.ndarray:
-    """Random horizontal flip, zero-pad by `pad`, crop back to size.
-
-    The offset pair (ox, oy) is the translation of the content measured
-    from its most up-left position: with offsets (0, 0) the content sits
-    flush with the top-left of the window and the zero border shows at the
-    right and bottom; offsets (2*pad, 2*pad) push it fully down-right.
-    """
-    h, w, c = img.shape
-    flipped = mirror(img) if rng.next_unit() < 0.5 else img
-    if pad == 0:
-        return flipped.copy()
-    ox = rng.next_int(0, 2 * pad)
-    oy = rng.next_int(0, 2 * pad)
-    padded = np.zeros((h + 2 * pad, w + 2 * pad, c), dtype=img.dtype)
-    padded[pad : pad + h, pad : pad + w] = flipped
-    y0 = 2 * pad - oy
-    x0 = 2 * pad - ox
-    return padded[y0 : y0 + h, x0 : x0 + w].copy()
-
-
-def apply_augment(img: np.ndarray, spec: AugmentSpec, rng: RngStream) -> np.ndarray:
-    """Dispatch on spec.kind; `none` is the identity."""
-    if spec.kind == "none":
-        return img.copy()
-    if spec.kind == "gaussian":
-        return apply_gaussian(img, spec, rng)
-    if spec.kind == "cutout":
-        return apply_cutout(img, spec, rng)
-    return apply_patch_gaussian(img, spec, rng)
-
-
 def run_pipeline(img: np.ndarray, spec: AugmentSpec, rng: RngStream) -> np.ndarray:
-    """Augmentation plus flip/crop in the configured order.
-
-    Each stage draws from its own child stream (op tags "aug" and
-    "flipcrop"), so the stages cannot perturb each other's draws and the
-    order only changes the composition, not the randomness.
-    """
-    if spec.order == "augment_then_flipcrop":
-        out = apply_augment(img, spec, rng.derive("aug"))
-        return flip_and_crop(out, spec.pad, rng.derive("flipcrop"))
-    out = flip_and_crop(img, spec.pad, rng.derive("flipcrop"))
-    return apply_augment(out, spec, rng.derive("aug"))
-
-
-def _rect_masks(states, h: int, w: int, patch) -> np.ndarray:
-    """(n, h, w) masks of the rects sample_patch_bounds draws from the
-    columns of a state array; patch is an int or one size per column."""
-    if h < 1 or w < 1:
-        raise ValueError("image extent must be >= 1")
-    cx = next_ints(states, 0, w - 1)
-    cy = next_ints(states, 0, h - 1)
-    lo = np.asarray(patch) // 2
-    hi = patch - lo
-    rows = np.arange(h) - cy[:, None]
-    cols = np.arange(w) - cx[:, None]
-    in_rows = (rows >= -lo[..., None]) & (rows < hi[..., None])
-    in_cols = (cols >= -lo[..., None]) & (cols < hi[..., None])
-    return in_rows[:, :, None] & in_cols[:, None, :]
+    """Augmentation plus flip/crop of one (h, w, c) image in the configured
+    order: run_pipeline_batch on a batch of one with rng's origin. Only the
+    origin is read; children are derived from it, not from rng's state."""
+    return run_pipeline_batch(img[None], spec, rng.seed, [rng.index], rng.tag)[0]
 
 
 def _augment_batch(images: np.ndarray, spec: AugmentSpec, states) -> np.ndarray:
-    """apply_augment over a batch whose "aug" draws come from the columns of
-    states; all prefix draws precede the lockstep noise fields."""
+    """The spec's augmentation over a batch whose "aug" draws come from the
+    columns of states; all prefix draws precede the lockstep noise fields."""
     _, h, w, c = images.shape
     if spec.kind == "none":
         return images
-    if spec.kind == "cutout":
-        if len(spec.fill) == 0:
-            raise ValueError("cutout requires a fill color")
-        mask = _rect_masks(states, h, w, spec.patch_size)
-        return np.where(mask[..., None], np.asarray(spec.fill, dtype=np.float64), images)
-    mask = None
-    if spec.kind == "patch_gaussian":
-        # Inclusive upper end: the configured size is the maximum.
-        patch = next_ints(states, 1, spec.patch_size) if spec.sample_up_to else spec.patch_size
-        mask = _rect_masks(states, h, w, patch)
+    masks = None
+    if spec.kind != "gaussian":
+        patch = spec.patch_size
+        if spec.kind == "patch_gaussian" and spec.sample_up_to:
+            # Inclusive upper end: the configured size is the maximum.
+            patch = next_ints(states, 1, spec.patch_size)
+        cx = next_ints(states, 0, w - 1)
+        cy = next_ints(states, 0, h - 1)
+        masks = rect_masks(cx, cy, h, w, patch)
+        if spec.kind == "cutout":
+            return cutout_batch(images, masks, spec.fill)
     sigma = spec.sigma_max * next_units(states)
-    noisy = clip_unit(images + sigma[:, None, None, None] * lockstep_fields(states, (h, w, c)))
-    return noisy if mask is None else np.where(mask[..., None], noisy, images)
+    return gaussian_batch(images, sigma, lockstep_fields(states, (h, w, c)), masks)
 
 
 def _flip_and_crop_batch(images: np.ndarray, flips: np.ndarray, pad: int, offsets) -> np.ndarray:
-    """flip_and_crop over a batch with drawn flips and (ox, oy) offsets."""
+    """Mirror the images whose flips entry is set, zero-pad by pad and crop
+    back to size at the drawn (ox, oy) offsets, each an (n,) array.
+
+    An offset pair is the translation of the content measured from its most
+    up-left position: with offsets (0, 0) the content sits flush with the
+    top-left of the window and the zero border shows at the right and
+    bottom; offsets (2*pad, 2*pad) push it fully down-right.
+    """
     n, h, w, c = images.shape
     flipped = np.where(flips[:, None, None, None], mirror(images), images)
     if pad == 0:
@@ -288,14 +177,15 @@ def _flip_and_crop_batch(images: np.ndarray, flips: np.ndarray, pad: int, offset
 
 
 def run_pipeline_batch(images, spec: AugmentSpec, seed: int, indices, tag: str) -> np.ndarray:
-    """run_pipeline over a non-empty batch of equally shaped images: entry i
-    of the result is bit-identical to run_pipeline(images[i], spec,
-    derive_stream(seed, indices[i], tag)).
+    """Augmentation plus flip/crop of a non-empty batch of equally shaped
+    images in the configured order; image i draws from the children of
+    origin (seed, indices[i], tag) as the module table lists.
 
     The "aug" and "flipcrop" children are independent, so every draw can be
-    made before any kernel runs. The kernels are elementwise and the flip
-    and crop are gathers, so applying them to the whole batch with
-    per-image masks and offsets changes no bit.
+    made before any kernel runs, and the order only changes the
+    composition, not the randomness. The kernels are elementwise and the
+    flip and crop are gathers, so a batch's entries do not depend on each
+    other.
     """
     images = np.asarray(images, dtype=np.float64)
     aug = derive_states(seed, indices, child_tag_of(tag, "aug"))

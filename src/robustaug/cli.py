@@ -93,6 +93,8 @@ def load_dataset(path) -> LabeledDataset:
         files = len(list(p.glob("*.imgt")))
         if files != len(labels):
             raise ValueError(f"{p}: {files} .imgt files for {len(labels)} labels")
+        if len(labels) == 0:
+            raise ValueError(f"{p}: empty dataset, labels.txt lists no images")
         images = np.stack([decode_tensor((p / _image_name(i)).read_bytes()) for i in range(len(labels))])
         return LabeledDataset(images, labels)
     return read_cifar10_batch(p.read_bytes())

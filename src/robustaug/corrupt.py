@@ -36,7 +36,7 @@ import numpy as np
 from scipy import ndimage
 from scipy import stats
 
-from .augment import apply_gaussian_kernel
+from .augment import gaussian_batch
 from .images import LabeledDataset, clip_unit
 from .rng import derive_states, lockstep_fields, lockstep_groups, next_units
 
@@ -160,7 +160,7 @@ def _check_domain(kind: str, param: float) -> None:
 
 
 def _gaussian_noise(images: np.ndarray, sigma: float, states: np.ndarray) -> np.ndarray:
-    return apply_gaussian_kernel(images, sigma, lockstep_fields(states, images.shape[1:]))
+    return gaussian_batch(images, np.full(len(images), sigma), lockstep_fields(states, images.shape[1:]))
 
 
 def _shot_noise(images: np.ndarray, lam: float, states: np.ndarray) -> np.ndarray:

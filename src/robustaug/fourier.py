@@ -139,17 +139,19 @@ def fourier_basis(h: int, w: int, i: int, j: int) -> np.ndarray:
     return u / np.linalg.norm(u)
 
 
-def perturb_with_basis(img: np.ndarray, basis: np.ndarray, v: float, rng) -> np.ndarray:
-    """Add the basis matrix at l2 norm v with a random sign, then clip.
+def perturb_with_basis(images: np.ndarray, basis: np.ndarray, v: float, states) -> np.ndarray:
+    """Add the basis matrix at l2 norm v with a random sign to each image of
+    an (n, h, w, c) batch, then clip.
 
-    One sign is drawn per image (unit draw < 0.5 means negative) and shared
-    by all channels; each channel receives the same v * basis contribution,
-    so the pre-clip perturbation norm per channel is exactly v.
+    Image i draws its sign from column i of the state array states (unit
+    draw < 0.5 means negative) and shares it across channels; each channel
+    receives the same v * basis contribution, so the pre-clip perturbation
+    norm per channel is exactly v.
     """
-    if basis.shape != img.shape[:2]:
+    if basis.shape != images.shape[1:3]:
         raise ValueError("shape mismatch")
-    sign = -1.0 if rng.next_unit() < 0.5 else 1.0
-    return clip_unit(img + (sign * v) * basis[:, :, None])
+    signs = np.where(next_units(states) < 0.5, -1.0, 1.0)
+    return clip_unit(images + (signs * v)[:, None, None, None] * basis[None, :, :, None])
 
 
 def _activation_norms(acts: np.ndarray) -> np.ndarray:
@@ -170,10 +172,9 @@ def sensitivity_heatmap(
     freqs defaults to the canonical half plane of the dataset's image grid.
     Per-image streams are derived from (seed, index, "fourier/i,j"), so the
     result is independent of worker count and frequency order; each
-    frequency perturbs all images at once, images[idx] exactly as
-    perturb_with_basis with its stream would. The first_layer probe keeps
-    only per-image activation norms, computing activations _PROBE_CHUNK
-    images at a time.
+    frequency perturbs all images at once with perturb_with_basis. The
+    first_layer probe keeps only per-image activation norms, computing
+    activations _PROBE_CHUNK images at a time.
     """
     if probe not in PROBES:
         raise ValueError(f"unknown probe: {probe}")
@@ -197,10 +198,8 @@ def sensitivity_heatmap(
 
     def probe_frequency(fi):
         i, j = freq_list[fi]
-        basis = fourier_basis(h, w, i, j)
-        # One sign per image, drawn as in perturb_with_basis.
-        signs = np.where(next_units(derive_states(seed, range(n), f"fourier/{i},{j}")) < 0.5, -1.0, 1.0)
-        perturbed = clip_unit(d.images + (signs * v)[:, None, None, None] * basis[None, :, :, None])
+        states = derive_states(seed, range(n), f"fourier/{i},{j}")
+        perturbed = perturb_with_basis(d.images, fourier_basis(h, w, i, j), v, states)
         if probe == "test_error":
             return 1.0 - accuracy(model.predict(perturbed), d.labels), None
         delta = np.concatenate(

@@ -40,14 +40,6 @@ class EvalResult:
 
 
 @dataclass
-class RobustnessReport:
-    ce: dict
-    mce: float
-    mce_minus_noise: float | None = None
-    relative_robustness: float | None = None
-
-
-@dataclass
 class Candidate:
     """One sweep point: a labeled augmentation setting plus its evaluation."""
 

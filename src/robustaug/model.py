@@ -168,17 +168,6 @@ def _features(m: ToyModel, images) -> np.ndarray:
     return feats
 
 
-def forward(m: ToyModel, img: np.ndarray):
-    """Logits and post-ReLU first-layer activations for one image."""
-    img = np.asarray(img, dtype=np.float64)
-    if img.ndim != 3:
-        raise ValueError("shape mismatch")
-    acts = _conv_relu(m, img[None])
-    feats = np.ones((1, m.head.shape[0]))
-    feats[:, :-1] = _pool(acts, m.pool_grid)
-    return (feats @ m.head)[0], acts[0]
-
-
 def predict(m: ToyModel, images) -> np.ndarray:
     """Argmax labels; ties break toward the lowest class index."""
     z = _features(m, images) @ m.head
@@ -231,10 +220,10 @@ def train(m: ToyModel, d: LabeledDataset, cfg: TrainConfig) -> ToyModel:
     Each epoch visits a fresh Fisher-Yates permutation drawn from the
     (seed, epoch, "shuffle") stream.  Every example is pushed through the
     augmentation pipeline with its own (seed, dataset index, "ep<epoch>")
-    stream before the forward pass, so augmentation draws depend only on the
-    example and epoch, never on batch composition.  The permuted order is
-    augmented in groups of whole batches (lockstep_groups), whose noise
-    fields are drawn together; each batch then takes its own step.
+    stream before its features are computed, so augmentation draws depend
+    only on the example and epoch, never on batch composition.  The permuted
+    order is augmented in groups of whole batches (lockstep_groups), whose
+    noise fields are drawn together; each batch then takes its own step.
 
     Under a flip_only pipeline (kind "none", pad 0) every example is either
     itself or its mirror, so the features of both variants are computed once

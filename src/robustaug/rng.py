@@ -25,8 +25,12 @@ the byte stream:
 
 The bulk methods (unit_array, normal_array, normal_field) advance the state
 exactly as the equivalent sequence of scalar calls and are bit-identical to
-them; they exist because per-pixel noise fields dominate the runtime of
-augmentation sweeps. Two engines produce them, with numpy the only dependency:
+them. The package draws from single streams only for model filters
+(normal_array) and the training shuffle (permutation); the other scalar and
+bulk methods stay as the one-stream form of every documented draw order,
+which the tests' per-image references use to check the lockstep engine and
+which perfbench's tracer wraps by name. Two engines produce draws, with
+numpy the only dependency:
 
     scalar    _fill_block_py steps one stream in a Python loop over its four
               words; it serves single-stream draws, for which it is faster

@@ -14,13 +14,11 @@ import pytest
 
 from robustaug.augment import (
     AugmentSpec,
-    PatchRect,
-    apply_cutout,
-    apply_gaussian_kernel,
-    apply_patch_gaussian,
-    patch_gaussian_kernel,
-    rect_from_center,
-    sample_patch_bounds,
+    draw_flips,
+    gaussian_batch,
+    mirror,
+    rect_masks,
+    run_pipeline_batch,
 )
 from robustaug.corrupt import SIGMA_SUITE, gaussian_eval_suite
 from robustaug.fourier import (
@@ -50,7 +48,7 @@ from robustaug.model import (
     synth_dataset,
     train,
 )
-from robustaug.rng import derive_stream
+from robustaug.rng import derive_states, derive_stream, next_ints
 from robustaug.cli import main as cli_main
 
 
@@ -76,9 +74,9 @@ def test_whole_image_limit_matches_gaussian():
         noise = rng.standard_normal((32, 32, 3))
         sigma = rng.random() * 2.0
         cx, cy = int(rng.integers(0, 32)), int(rng.integers(0, 32))
-        rect = rect_from_center(cx, cy, 32, 32, 64)
-        patched = patch_gaussian_kernel(img, rect, sigma, noise)
-        whole = apply_gaussian_kernel(img, sigma, noise)
+        rect = rect_masks([cx], [cy], 32, 32, 64)
+        patched = gaussian_batch(img[None], [sigma], noise[None], rect)[0]
+        whole = gaussian_batch(img[None], [sigma], noise[None])[0]
         ok = ok and patched.tobytes() == whole.tobytes()
     elapsed = time.perf_counter() - t0
     ok = ok and elapsed < 1.0
@@ -89,12 +87,12 @@ def test_saturating_noise_approximates_cutout():
     """Extreme sigma drives covered pixels to the clip rails, half each way."""
     t0 = time.perf_counter()
     rng = np.random.default_rng(202)
-    full = PatchRect(start_x=0, start_y=0, end_x=32, end_y=32)
+    full = np.ones((1, 32, 32), dtype=bool)
     vals = []
     for _ in range(100):
         img = rng.random((32, 32, 1))
         noise = rng.standard_normal((32, 32, 1))
-        vals.append(patch_gaussian_kernel(img, full, 1e4, noise))
+        vals.append(gaussian_batch(img[None], [1e4], noise[None], full))
     vals = np.concatenate([v.ravel() for v in vals])
     total = vals.size
     # Pixels whose noise draw lands within ~1e-4 sigmas of zero stay strictly
@@ -118,25 +116,28 @@ def test_noise_and_cutout_stay_inside_patch():
     rng = np.random.default_rng(303)
     pool = rng.random((32, 16, 16, 1))
     ok = True
-    for i in range(10**4):
-        img = pool[i % 32]
-        stream = derive_stream(777, i, "locality")
-        replay = derive_stream(777, i, "locality")
-        size = 1 + i % 16
-        if i % 2 == 0:
+    # Case i draws from origin (777, i, "locality"), and its spec depends
+    # on i % 16 only, so each of the 16 specs runs its cases as one batch.
+    for first in range(16):
+        indices = np.arange(first, 10**4, 16)
+        images = pool[indices % 32]
+        size = 1 + first
+        if first % 2 == 0:
             spec = AugmentSpec(kind="patch_gaussian", patch_size=size,
-                               sigma_max=2.0, sample_up_to=(i // 2) % 2 == 0)
-            out = apply_patch_gaussian(img, spec, stream)
-            drawn = replay.next_int(1, size) if spec.sample_up_to else size
-            rect = sample_patch_bounds(replay, 16, 16, drawn)
+                               sigma_max=2.0, sample_up_to=(first // 2) % 2 == 0)
         else:
             spec = AugmentSpec(kind="cutout", patch_size=size, fill=(0.5,))
-            out = apply_cutout(img, spec, stream)
-            rect = sample_patch_bounds(replay, 16, 16, size)
-        restored = out.copy()
-        restored[rect.start_y:rect.end_y, rect.start_x:rect.end_x] = (
-            img[rect.start_y:rect.end_y, rect.start_x:rect.end_x])
-        ok = ok and restored.tobytes() == img.tobytes()
+        out = run_pipeline_batch(images, spec, 777, indices, "locality")
+        # pad 0: undo the flip, then replay the rect from the "aug" draws.
+        flips = draw_flips(derive_states(777, indices, "locality/flipcrop"))
+        out = np.where(flips[:, None, None, None], mirror(out), out)
+        replay = derive_states(777, indices, "locality/aug")
+        drawn = next_ints(replay, 1, size) if spec.sample_up_to else size
+        cx = next_ints(replay, 0, 15)
+        cy = next_ints(replay, 0, 15)
+        rect = rect_masks(cx, cy, 16, 16, drawn)
+        restored = np.where(rect[..., None], images, out)
+        ok = ok and restored.tobytes() == images.tobytes()
     elapsed = time.perf_counter() - t0
     ok = ok and elapsed < 5.0
     _report(3, "patch locality", ok, f"elapsed={elapsed:.2f}s")
@@ -212,10 +213,14 @@ def test_spectral_toolkit_guarantees():
     for v in (4.0, 15.7):
         basis = fourier_basis(32, 32, 5, -7)
         norm_ok = norm_ok and abs(np.linalg.norm(v * basis) - v) < 1e-9
-    moved = perturb_with_basis(mid, fourier_basis(32, 32, 5, -7), 4.0,
-                               derive_stream(1, 0, "accept"))
+    basis = fourier_basis(32, 32, 5, -7)
+    moved = perturb_with_basis(mid[None], basis, 4.0, derive_states(1, [0], "accept"))[0]
+    # The sign is the documented draw: negative when the first unit of the
+    # image's stream is below 0.5.
+    sign = -1.0 if derive_stream(1, 0, "accept").next_unit() < 0.5 else 1.0
     for ch in range(3):
         norm_ok = norm_ok and abs(np.linalg.norm(moved[:, :, ch] - 0.5) - 4.0) < 1e-9
+        norm_ok = norm_ok and float(np.max(np.abs(moved[:, :, ch] - 0.5 - sign * 4.0 * basis))) < 1e-9
 
     color = rng.random((32, 32, 3))
     identity = high_pass(color, 0.0).tobytes() == color.tobytes()

@@ -7,26 +7,20 @@ from robustaug.augment import (
     KINDS,
     ORDERS,
     AugmentSpec,
-    PatchRect,
-    apply_augment,
-    apply_cutout,
-    apply_gaussian,
-    apply_gaussian_kernel,
-    apply_patch_gaussian,
-    cutout_kernel,
+    _flip_and_crop_batch,
+    cutout_batch,
     draw_flips,
-    flip_and_crop,
     flip_only,
+    gaussian_batch,
     mirror,
-    patch_gaussian_kernel,
-    rect_from_center,
+    rect_masks,
     run_pipeline,
     run_pipeline_batch,
-    sample_patch_bounds,
 )
 from robustaug.parallel import indexed_map
-from robustaug.rng import derive_states, derive_stream
+from robustaug.rng import derive_states, derive_stream, lockstep_fields, next_ints
 
+import augment_reference as reference
 import rng_reference
 
 
@@ -58,49 +52,73 @@ def gray(h, w, c=1, value=0.5):
     return np.full((h, w, c), value, dtype=np.float64)
 
 
+def box(h, w, x0, y0, x1, y1):
+    """(h, w) mask of the half-open rect [x0, x1) x [y0, y1)."""
+    mask = np.zeros((h, w), dtype=bool)
+    mask[y0:y1, x0:x1] = True
+    return mask
+
+
+def find_seed(tag, want_flip, start=0):
+    """Smallest seed whose derived child stream makes the flip decision."""
+    for seed in range(start, start + 10_000):
+        u = derive_stream(seed, 0, tag).next_unit()
+        if (u < 0.5) == want_flip:
+            return seed
+    raise AssertionError("no seed found")
+
+
+def unflip(out, seed, indices, tag):
+    """Undo the flips run_pipeline_batch made at pad 0: mirror back the
+    images whose "flipcrop" child drew a flip."""
+    flips = draw_flips(derive_states(seed, indices, tag + "/flipcrop"))
+    return np.where(flips[:, None, None, None], mirror(out), out)
+
+
 # --- patch bounds ---------------------------------------------------------
 
 
 def test_rect_saturates_for_oversized_patch():
-    for cx in range(32):
-        for cy in range(32):
-            rect = rect_from_center(cx, cy, 32, 32, 64)
-            assert rect == PatchRect(0, 0, 32, 32)
+    cx, cy = np.divmod(np.arange(32 * 32), 32)
+    assert rect_masks(cx, cy, 32, 32, 64).all()
 
 
 def test_rect_hand_case_and_draw_order():
+    assert np.array_equal(rect_masks([0], [0], 4, 4, 2)[0], box(4, 4, 0, 0, 1, 1))
     stream = ScriptedStream(ints=[0, 0])
-    rect = sample_patch_bounds(stream, 4, 4, 2)
-    assert rect == PatchRect(start_x=0, start_y=0, end_x=1, end_y=1)
+    rect = reference.sample_patch_bounds(stream, 4, 4, 2)
+    assert rect == reference.PatchRect(start_x=0, start_y=0, end_x=1, end_y=1)
     # x is drawn first: both draws range over the full axis here, so check
     # a non-square image instead.
     stream = ScriptedStream(ints=[6, 2])
-    sample_patch_bounds(stream, 3, 8, 1)
+    reference.sample_patch_bounds(stream, 3, 8, 1)
     assert stream.int_calls == [(0, 7), (0, 2)]
 
 
 def test_rect_odd_patch_floor_ceil_split():
-    rect = rect_from_center(1, 1, 5, 5, 3)
-    assert rect == PatchRect(0, 0, 3, 3)
-    rect = rect_from_center(2, 3, 6, 6, 5)
-    assert rect == PatchRect(0, 1, 5, 6)
+    assert np.array_equal(rect_masks([1], [1], 5, 5, 3)[0], box(5, 5, 0, 0, 3, 3))
+    assert np.array_equal(rect_masks([2], [3], 6, 6, 5)[0], box(6, 6, 0, 1, 5, 6))
+    # Even sides: one more pixel after the center than before it.
+    assert np.array_equal(rect_masks([3], [3], 8, 8, 4)[0], box(8, 8, 1, 1, 5, 5))
+    # One size per image.
+    masks = rect_masks([1, 1], [1, 1], 5, 5, np.array([3, 2]))
+    assert np.array_equal(masks[0], box(5, 5, 0, 0, 3, 3))
+    assert np.array_equal(masks[1], box(5, 5, 0, 0, 2, 2))
 
 
 def test_rect_never_empty_and_contains_center():
+    cx, cy = np.divmod(np.arange(7 * 5), 5)
     for patch in (1, 2, 3, 7, 11):
-        for cx in range(7):
-            for cy in range(5):
-                r = rect_from_center(cx, cy, 5, 7, patch)
-                assert r.start_x <= cx < r.end_x
-                assert r.start_y <= cy < r.end_y
+        masks = rect_masks(cx, cy, 5, 7, patch)
+        assert masks[np.arange(len(cx)), cy, cx].all()
 
 
 def test_patch_bounds_rejects_bad_args():
-    stream = derive_stream(0, 0, "bad")
-    with pytest.raises(ValueError):
-        sample_patch_bounds(stream, 4, 4, 0)
-    with pytest.raises(ValueError):
-        sample_patch_bounds(stream, 0, 4, 2)
+    with pytest.raises(ValueError, match="patch_size"):
+        AugmentSpec(kind="cutout", patch_size=0, fill=(0.5,))
+    spec = AugmentSpec(kind="patch_gaussian", patch_size=2, sigma_max=1.0)
+    with pytest.raises(ValueError, match="empty range"):
+        run_pipeline_batch(np.zeros((2, 0, 4, 1)), spec, 0, [0, 1], "bad")
 
 
 def test_inclusion_probability_matches_center_count():
@@ -116,13 +134,14 @@ def test_inclusion_probability_matches_center_count():
         for cy in range(h)
         if cx - lo <= px < cx + hi and cy - lo <= py < cy + hi
     )
-    stream = derive_stream(424242, 0, "inclusion")
     n = 100_000
     hits = 0
-    for _ in range(n):
-        r = sample_patch_bounds(stream, h, w, patch)
-        if r.start_x <= px < r.end_x and r.start_y <= py < r.end_y:
-            hits += 1
+    for start in range(0, n, 10_000):
+        # The center draws of run_pipeline_batch: x, then y.
+        states = derive_states(424242, range(start, start + 10_000), "inclusion")
+        cx = next_ints(states, 0, w - 1)
+        cy = next_ints(states, 0, h - 1)
+        hits += np.count_nonzero(rect_masks(cx, cy, h, w, patch)[:, py, px])
     assert abs(hits / n - admissible / (h * w)) < 0.01
 
 
@@ -131,57 +150,58 @@ def test_inclusion_probability_matches_center_count():
 
 def test_gaussian_kernel_sigma_zero_identity():
     rng = np.random.default_rng(3)
-    img = rng.random((8, 8, 3))
-    noise = rng.normal(size=(8, 8, 3))
-    assert np.array_equal(apply_gaussian_kernel(img, 0.0, noise), img)
+    img = rng.random((2, 8, 8, 3))
+    noise = rng.normal(size=(2, 8, 8, 3))
+    assert np.array_equal(gaussian_batch(img, [0.0, 0.0], noise), img)
+    masks = rect_masks([2, 5], [3, 1], 8, 8, 4)
+    assert np.array_equal(gaussian_batch(img, [0.0, 0.0], noise, masks), img)
 
 
 def test_gaussian_kernel_forced_clip():
-    out = apply_gaussian_kernel(gray(4, 4, 3), 1.0, np.full((4, 4, 3), 3.0))
+    out = gaussian_batch(gray(4, 4, 3)[None], [1.0], np.full((1, 4, 4, 3), 3.0))
     assert np.all(out == 1.0)
 
 
 def test_gaussian_kernel_elementwise_oracle():
     rng = np.random.default_rng(4)
-    img = rng.random((6, 5, 3))
-    noise = rng.normal(size=(6, 5, 3))
-    out = apply_gaussian_kernel(img, 0.3, noise)
+    img = rng.random((2, 6, 5, 3))
+    noise = rng.normal(size=(2, 6, 5, 3))
+    sigma = [0.3, 1.7]
+    out = gaussian_batch(img, sigma, noise)
     for idx in np.ndindex(img.shape):
-        expected = min(max(img[idx] + 0.3 * noise[idx], 0.0), 1.0)
+        expected = min(max(img[idx] + sigma[idx[0]] * noise[idx], 0.0), 1.0)
         assert out[idx] == expected  # same arithmetic order, 0 ulps
 
 
 def test_gaussian_kernel_shape_mismatch():
     with pytest.raises(ValueError, match="shape mismatch"):
-        apply_gaussian_kernel(gray(4, 4), 1.0, np.zeros((4, 5, 1)))
+        gaussian_batch(gray(4, 4)[None], [1.0], np.zeros((1, 4, 5, 1)))
 
 
 def test_apply_gaussian_sigma_max_zero_identity():
     img = gray(5, 5, 3, 0.7)
-    out = apply_gaussian(img, AugmentSpec(kind="gaussian", sigma_max=0.0), derive_stream(1, 2, "g"))
+    out = run_pipeline(img, AugmentSpec(kind="gaussian", sigma_max=0.0), derive_stream(1, 2, "g"))
     assert np.array_equal(out, img)
 
 
 def test_apply_gaussian_golden_compose():
+    # A 1x1 image: the flip is the identity, and the "aug" child draws
+    # sigma's unit, then the pixel's normal.
     seed, index, tag = 42, 0, "golden"
-    ref = rng_reference.Reference(seed, index, tag)
+    ref = rng_reference.Reference(seed, index, tag + "/aug")
     u = ref.unit()
     z = ref.normal()
     expected = min(max(0.5 + 1.0 * u * z, 0.0), 1.0)
-    out = apply_gaussian(
+    out = run_pipeline(
         gray(1, 1), AugmentSpec(kind="gaussian", sigma_max=1.0), derive_stream(seed, index, tag)
     )
     assert out[0, 0, 0] == expected
 
 
 def test_apply_gaussian_rarely_clips_at_small_sigma():
-    img = gray(32, 32, 3)
-    unclipped = 0
-    for i in range(20):
-        out = apply_gaussian(
-            img, AugmentSpec(kind="gaussian", sigma_max=0.1), derive_stream(9, i, "smallsig")
-        )
-        unclipped += np.count_nonzero((out > 0.0) & (out < 1.0))
+    images = np.full((20, 32, 32, 3), 0.5)
+    out = run_pipeline_batch(images, AugmentSpec(kind="gaussian", sigma_max=0.1), 9, range(20), "smallsig")
+    unclipped = np.count_nonzero((out > 0.0) & (out < 1.0))
     assert unclipped / (20 * 32 * 32 * 3) >= 0.99
 
 
@@ -191,21 +211,20 @@ def test_apply_gaussian_rarely_clips_at_small_sigma():
 def test_cutout_oversized_patch_fills_everything():
     img = np.random.default_rng(5).random((8, 6, 3))
     spec = AugmentSpec(kind="cutout", patch_size=16, fill=(0.1, 0.2, 0.3))
-    out = apply_cutout(img, spec, derive_stream(0, 0, "c"))
+    out = run_pipeline(img, spec, derive_stream(0, 0, "c"))
     assert np.all(out == np.array([0.1, 0.2, 0.3]))
 
 
 def test_cutout_own_color_is_identity():
     img = gray(7, 7, 3, 0.25)
     spec = AugmentSpec(kind="cutout", patch_size=3, fill=(0.25, 0.25, 0.25))
-    out = apply_cutout(img, spec, derive_stream(1, 1, "c"))
+    out = run_pipeline(img, spec, derive_stream(1, 1, "c"))
     assert np.array_equal(out, img)
 
 
 def test_cutout_hand_rect():
-    img = gray(4, 4, 1, 0.5)
-    spec = AugmentSpec(kind="cutout", patch_size=2, fill=(0.0,))
-    out = apply_cutout(img, spec, ScriptedStream(ints=[1, 1]))
+    img = gray(4, 4, 1, 0.5)[None]
+    out = cutout_batch(img, rect_masks([1], [1], 4, 4, 2), (0.0,))[0]
     assert np.count_nonzero(out == 0.0) == 4
     assert np.all(out[:2, :2] == 0.0)
     assert np.all(out[2:, :] == 0.5) and np.all(out[:, 2:] == 0.5)
@@ -213,46 +232,47 @@ def test_cutout_hand_rect():
 
 def test_cutout_requires_fill():
     with pytest.raises(ValueError, match="fill"):
-        apply_cutout(gray(4, 4), AugmentSpec(kind="cutout", patch_size=2), derive_stream(0, 0, "c"))
+        run_pipeline(gray(4, 4), AugmentSpec(kind="cutout", patch_size=2), derive_stream(0, 0, "c"))
+    spec = AugmentSpec(kind="cutout", patch_size=2, fill=(0.1, 0.2, 0.3))
+    with pytest.raises(ValueError, match="got 3 for 1"):
+        run_pipeline_batch(np.zeros((2, 4, 4, 1)), spec, 0, [0, 1], "c")
 
 
 # --- patch gaussian -------------------------------------------------------
 
 
 def test_patch_gaussian_sigma_zero_identity():
+    seed = find_seed("flipcrop", want_flip=False)
     img = np.random.default_rng(6).random((9, 9, 3))
     spec = AugmentSpec(kind="patch_gaussian", sigma_max=0.0, patch_size=4)
-    out = apply_patch_gaussian(img, spec, derive_stream(3, 3, "pg"))
+    out = run_pipeline(img, spec, derive_stream(seed, 0, ""))
     assert np.array_equal(out, img)
 
 
 def test_patch_gaussian_limit_equals_whole_image_gaussian():
     rng = np.random.default_rng(7)
+    images = rng.random((5, 16, 16, 3))
+    spec = AugmentSpec(kind="patch_gaussian", sigma_max=0.8, patch_size=32)
+    out = unflip(run_pipeline_batch(images, spec, 11, range(5), "limit"), 11, range(5), "limit")
     for i in range(5):
-        img = rng.random((16, 16, 3))
-        spec = AugmentSpec(kind="patch_gaussian", sigma_max=0.8, patch_size=32)
-        out = apply_patch_gaussian(img, spec, derive_stream(11, i, "limit"))
-        # Replay the documented draw order with a twin stream.
-        twin = derive_stream(11, i, "limit")
+        # Replay the documented draw order with a scalar twin stream.
+        twin = derive_stream(11, i, "limit/aug")
         twin.next_int(0, 15)
         twin.next_int(0, 15)
         sigma = 0.8 * twin.next_unit()
-        field = twin.normal_field(img.shape)
-        assert np.array_equal(out, apply_gaussian_kernel(img, sigma, field))
+        field = twin.normal_field(images[i].shape)
+        assert np.array_equal(out[i], gaussian_batch(images[i][None], [sigma], field[None])[0])
 
 
 def test_patch_gaussian_cutout_limit_saturates():
     # At sigma = 1e4 the patch interior collapses to 0/1 noise.
-    rng = np.random.default_rng(8)
-    ones = zeros = middle = total = 0
-    for i in range(34):
-        img = rng.random((32, 32, 3))
-        field = derive_stream(13, i, "sat").normal_field(img.shape)
-        out = patch_gaussian_kernel(img, PatchRect(0, 0, 32, 32), 1e4, field)
-        ones += np.count_nonzero(out == 1.0)
-        zeros += np.count_nonzero(out == 0.0)
-        middle += np.count_nonzero((out > 0.0) & (out < 1.0))
-        total += out.size
+    images = np.random.default_rng(8).random((34, 32, 32, 3))
+    fields = lockstep_fields(derive_states(13, range(34), "sat"), (32, 32, 3))
+    out = gaussian_batch(images, np.full(34, 1e4), fields, np.ones((34, 32, 32), dtype=bool))
+    ones = np.count_nonzero(out == 1.0)
+    zeros = np.count_nonzero(out == 0.0)
+    middle = np.count_nonzero((out > 0.0) & (out < 1.0))
+    total = out.size
     assert total >= 100_000
     assert abs(ones / total - 0.5) < 0.02
     assert abs(zeros / total - 0.5) < 0.02
@@ -262,88 +282,81 @@ def test_patch_gaussian_cutout_limit_saturates():
 def test_patch_gaussian_sample_up_to_inclusive_draw():
     spec = AugmentSpec(kind="patch_gaussian", sigma_max=1.0, patch_size=5, sample_up_to=True)
     stream = ScriptedStream(ints=[1, 0, 0], units=[0.0])
-    out = apply_patch_gaussian(gray(8, 8), spec, stream)
+    out = reference.apply_patch_gaussian(gray(8, 8), spec, stream)
     # First draw is the effective patch size over the inclusive range [1, 5].
     assert stream.int_calls[0] == (1, 5)
     assert out.shape == (8, 8, 1)
 
 
 def test_patch_gaussian_locality_replay():
-    # Pixels outside the sampled rect are bit-identical to the input.
-    rng = np.random.default_rng(9)
+    # Pixels outside the sampled rect are bit-identical to the input; the
+    # rect is replayed with the independent generator.
+    images = np.random.default_rng(9).random((50, 8, 8, 3))
+    spec = AugmentSpec(kind="patch_gaussian", sigma_max=0.9, patch_size=3)
+    out = unflip(run_pipeline_batch(images, spec, 21, range(50), "loc"), 21, range(50), "loc")
     for i in range(50):
-        img = rng.random((8, 8, 3))
-        spec = AugmentSpec(kind="patch_gaussian", sigma_max=0.9, patch_size=3)
-        out = apply_patch_gaussian(img, spec, derive_stream(21, i, "loc"))
-        ref = rng_reference.Reference(21, i, "loc")
+        ref = rng_reference.Reference(21, i, "loc/aug")
         cx = ref.integer(0, 7)
         cy = ref.integer(0, 7)
         x0, x1 = max(0, cx - 1), min(8, cx + 2)
         y0, y1 = max(0, cy - 1), min(8, cy + 2)
         mask = np.ones((8, 8, 3), dtype=bool)
         mask[y0:y1, x0:x1] = False
-        assert np.array_equal(out[mask], img[mask])
-        assert not np.array_equal(out[~mask], img[~mask])
+        assert np.array_equal(out[i][mask], images[i][mask])
+        assert not np.array_equal(out[i][~mask], images[i][~mask])
 
 
 def test_cutout_locality_replay():
-    rng = np.random.default_rng(10)
+    images = np.random.default_rng(10).random((50, 8, 8, 1))
+    spec = AugmentSpec(kind="cutout", patch_size=4, fill=(0.33,))
+    out = unflip(run_pipeline_batch(images, spec, 22, range(50), "loc"), 22, range(50), "loc")
     for i in range(50):
-        img = rng.random((8, 8, 1))
-        spec = AugmentSpec(kind="cutout", patch_size=4, fill=(0.33,))
-        out = apply_cutout(img, spec, derive_stream(22, i, "loc"))
-        ref = rng_reference.Reference(22, i, "loc")
+        ref = rng_reference.Reference(22, i, "loc/aug")
         cx = ref.integer(0, 7)
         cy = ref.integer(0, 7)
         x0, x1 = max(0, cx - 2), min(8, cx + 2)
         y0, y1 = max(0, cy - 2), min(8, cy + 2)
         mask = np.ones((8, 8, 1), dtype=bool)
         mask[y0:y1, x0:x1] = False
-        assert np.array_equal(out[mask], img[mask])
-        assert np.all(out[~mask] == 0.33)
+        assert np.array_equal(out[i][mask], images[i][mask])
+        assert np.all(out[i][~mask] == 0.33)
 
 
 # --- flip and crop --------------------------------------------------------
 
 
 def test_flip_and_crop_pad_zero_identity_or_mirror():
-    img = np.arange(12, dtype=np.float64).reshape(2, 2, 3) / 12.0
-    out = flip_and_crop(img, 0, ScriptedStream(units=[0.9]))
+    img = np.arange(12, dtype=np.float64).reshape(1, 2, 2, 3) / 12.0
+    out = _flip_and_crop_batch(img, np.array([False]), 0, None)
     assert np.array_equal(out, img)
-    out = flip_and_crop(img, 0, ScriptedStream(units=[0.1]))
-    assert np.array_equal(out, img[:, ::-1, :])
+    out = _flip_and_crop_batch(img, np.array([True]), 0, None)
+    assert np.array_equal(out, img[:, :, ::-1, :])
 
 
 def test_flip_and_crop_window_rule():
     a, b, c, d = 0.1, 0.2, 0.3, 0.4
     img = np.array([[[a], [b]], [[c], [d]]])
+    images = np.stack([img] * 4)
+    # One (ox, oy) pair per image: (0, 0), (2, 2), (1, 1) and (2, 0).
+    offsets = np.array([0, 2, 1, 2]), np.array([0, 2, 1, 0])
+    out = _flip_and_crop_batch(images, np.zeros(4, dtype=bool), 1, offsets)[..., 0]
     # Offsets (0,0): content flush top-left, zero border right/bottom.
-    out = flip_and_crop(img, 1, ScriptedStream(units=[0.9], ints=[0, 0]))
-    assert np.array_equal(out[:, :, 0], np.array([[d, 0.0], [0.0, 0.0]]))
+    assert np.array_equal(out[0], np.array([[d, 0.0], [0.0, 0.0]]))
     # Offsets (2,2): content pushed fully down-right.
-    out = flip_and_crop(img, 1, ScriptedStream(units=[0.9], ints=[2, 2]))
-    assert np.array_equal(out[:, :, 0], np.array([[0.0, 0.0], [0.0, a]]))
+    assert np.array_equal(out[1], np.array([[0.0, 0.0], [0.0, a]]))
     # Centered offsets (1,1) recover the original.
-    out = flip_and_crop(img, 1, ScriptedStream(units=[0.9], ints=[1, 1]))
-    assert np.array_equal(out, img)
+    assert np.array_equal(out[2], img[..., 0])
+    # ox shifts the content right, oy down.
+    assert np.array_equal(out[3], np.array([[0.0, c], [0.0, 0.0]]))
 
 
 def test_flip_and_crop_offset_draw_order():
     stream = ScriptedStream(units=[0.9], ints=[0, 0])
-    flip_and_crop(gray(4, 4), 2, stream)
+    reference.flip_and_crop(gray(4, 4), 2, stream)
     assert stream.int_calls == [(0, 4), (0, 4)]
 
 
 # --- pipeline -------------------------------------------------------------
-
-
-def find_seed(tag, want_flip, start=0):
-    """Smallest seed whose derived child stream makes the flip decision."""
-    for seed in range(start, start + 10_000):
-        u = derive_stream(seed, 0, tag).next_unit()
-        if (u < 0.5) == want_flip:
-            return seed
-    raise AssertionError("no seed found")
 
 
 def test_pipeline_none_pad_zero_identity():
@@ -379,7 +392,7 @@ def test_pipeline_matches_bare_augmentation_when_flip_off():
     img = np.random.default_rng(12).random((6, 6, 3))
     spec = AugmentSpec(kind="gaussian", sigma_max=0.5, pad=0)
     out = run_pipeline(img, spec, derive_stream(seed, 0, ""))
-    bare = apply_gaussian(img, spec, derive_stream(seed, 0, "aug"))
+    bare = reference.apply_gaussian(img, spec, derive_stream(seed, 0, "aug"))
     assert np.array_equal(out, bare)
 
 
@@ -443,7 +456,7 @@ def test_pipeline_batch_matches_per_image_pipeline(kind, order, pad, channels):
         images = rng.random((size, 9, 7, channels))
         indices = np.arange(size) * 7 - 3
         batch = run_pipeline_batch(images, spec, 21, indices, "batch")
-        single = np.stack([run_pipeline(img, spec, derive_stream(21, int(i), "batch"))
+        single = np.stack([reference.run_pipeline(img, spec, derive_stream(21, int(i), "batch"))
                            for img, i in zip(images, indices)])
         assert batch.shape == single.shape
         assert np.array_equal(batch.view(np.uint64), single.view(np.uint64))
@@ -464,6 +477,6 @@ def test_spec_validation():
 
 def test_apply_augment_none_copies():
     img = gray(3, 3)
-    out = apply_augment(img, AugmentSpec(kind="none"), derive_stream(0, 0, "n"))
+    out = run_pipeline(img, AugmentSpec(kind="none"), derive_stream(0, 0, "n"))
     assert np.array_equal(out, img)
-    assert out is not img
+    assert not np.shares_memory(out, img)

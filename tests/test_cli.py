@@ -171,6 +171,17 @@ def test_highpass_zero_radius_copies_bytes(tmp_path):
     assert dir_bytes(out) == dir_bytes(d)
 
 
+def test_empty_dataset_directory_is_diagnosed(tmp_path, capsys):
+    d = tmp_path / "empty"
+    d.mkdir()
+    (d / "labels.txt").write_text("")
+    with pytest.raises(ValueError, match="empty dataset"):
+        load_dataset(d)
+    assert run("highpass", "--input", d, "--output", tmp_path / "hp", "--radius", "1") == 1
+    assert f"error: {d}: empty dataset" in capsys.readouterr().err
+    assert not (tmp_path / "hp").exists()
+
+
 def test_train_eval_fourier_round_trip(tmp_path, capsys):
     d = make_synth(tmp_path, count=8)
     ckpt = tmp_path / "model.toym"

@@ -24,7 +24,7 @@ from robustaug.fourier import (
     _high_pass_raw,
 )
 from robustaug.images import LabeledDataset
-from robustaug.rng import derive_stream
+from robustaug.rng import derive_states, derive_stream, next_units
 
 
 # Oracle transforms: O(N^2) direct summation with cmath, centered layout,
@@ -58,14 +58,12 @@ def idft2_direct(coeff):
     return out
 
 
-class FixedUnit:
-    """rng stand-in yielding a scripted unit draw."""
-
-    def __init__(self, u):
-        self.u = u
-
-    def next_unit(self):
-        return self.u
+def sign_states(*negative):
+    """A state array whose column i draws a first unit below 0.5 (a
+    negative sign) exactly when negative[i] is true."""
+    candidates = derive_states(0, range(64), "sign")
+    below = next_units(candidates.copy()) < 0.5
+    return np.stack([candidates[:, np.flatnonzero(below == neg)[0]] for neg in negative], axis=1)
 
 
 def test_dft_matches_direct_summation():
@@ -181,16 +179,15 @@ def test_half_plane_covers_grid_once():
 
 def test_perturb_zero_norm_is_identity():
     rng = np.random.default_rng(13)
-    img = rng.random((8, 8, 3))
-    out = perturb_with_basis(img, fourier_basis(8, 8, 1, 2), 0.0, FixedUnit(0.9))
-    assert np.array_equal(out, img)
+    images = rng.random((2, 8, 8, 3))
+    out = perturb_with_basis(images, fourier_basis(8, 8, 1, 2), 0.0, sign_states(False, True))
+    assert np.array_equal(out, images)
 
 
 def test_perturb_dc_arithmetic():
-    img = np.full((32, 32, 3), 0.5)
+    images = np.full((2, 32, 32, 3), 0.5)
     u = fourier_basis(32, 32, 0, 0)
-    up = perturb_with_basis(img, u, 4.0, FixedUnit(0.9))
-    down = perturb_with_basis(img, u, 4.0, FixedUnit(0.1))
+    up, down = perturb_with_basis(images, u, 4.0, sign_states(False, True))
     assert np.max(np.abs(up - 0.625)) < 1e-9
     assert np.max(np.abs(down - 0.375)) < 1e-9
 
@@ -204,33 +201,37 @@ def test_perturb_preclip_norm_is_v():
             for c in range(3):
                 assert abs(np.linalg.norm(pre[:, :, c] - img[:, :, c]) - v) < 1e-9
     # Small enough not to clip at mid-gray, so it survives the full path.
-    out = perturb_with_basis(img, fourier_basis(32, 32, 2, 1), 4.0, FixedUnit(0.7))
+    out = perturb_with_basis(img[None], fourier_basis(32, 32, 2, 1), 4.0, sign_states(False))[0]
     for c in range(3):
         assert abs(np.linalg.norm(out[:, :, c] - 0.5) - 4.0) < 1e-9
 
 
 def test_perturb_shares_sign_across_channels():
-    img = np.full((16, 16, 3), 0.5)
-    out = perturb_with_basis(img, fourier_basis(16, 16, 1, 1), 0.5, FixedUnit(0.2))
-    delta = out - img
-    assert np.array_equal(delta[:, :, 0], delta[:, :, 1])
-    assert np.array_equal(delta[:, :, 0], delta[:, :, 2])
+    images = np.full((2, 16, 16, 3), 0.5)
+    out = perturb_with_basis(images, fourier_basis(16, 16, 1, 1), 0.5, sign_states(True, False))
+    delta = out - images
+    assert np.array_equal(delta[..., 0], delta[..., 1])
+    assert np.array_equal(delta[..., 0], delta[..., 2])
+    assert np.max(np.abs(delta[0] + delta[1])) < 1e-15  # opposite signs
 
 
 def test_perturb_real_stream_sign_rule():
-    img = np.full((8, 8, 1), 0.5)
+    # Image i takes the sign of the first unit of the (42, i, tag) stream.
+    images = np.full((16, 8, 8, 1), 0.5)
     u = fourier_basis(8, 8, 0, 0)
-    stream = derive_stream(42, 0, "fourier/0,0")
-    first = stream.next_unit()
-    stream = derive_stream(42, 0, "fourier/0,0")
-    out = perturb_with_basis(img, u, 0.8, stream)
-    expect = 0.5 + (0.8 / 8) * (-1.0 if first < 0.5 else 1.0)
-    assert np.max(np.abs(out - expect)) < 1e-12
+    out = perturb_with_basis(images, u, 0.8, derive_states(42, range(16), "fourier/0,0"))
+    signs = set()
+    for i in range(16):
+        first = derive_stream(42, i, "fourier/0,0").next_unit()
+        sign = -1.0 if first < 0.5 else 1.0
+        signs.add(sign)
+        assert np.max(np.abs(out[i] - (0.5 + (0.8 / 8) * sign))) < 1e-12
+    assert signs == {-1.0, 1.0}
 
 
 def test_perturb_shape_mismatch():
     with pytest.raises(ValueError, match="shape mismatch"):
-        perturb_with_basis(np.zeros((8, 8, 1)), fourier_basis(4, 4, 0, 0), 1.0, FixedUnit(0.9))
+        perturb_with_basis(np.zeros((1, 8, 8, 1)), fourier_basis(4, 4, 0, 0), 1.0, sign_states(False))
 
 
 def test_high_pass_zero_radius_identity():

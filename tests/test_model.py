@@ -18,7 +18,6 @@ from robustaug.model import (
     encode_model,
     evaluate,
     first_layer,
-    forward,
     head_gradient,
     init_toy_model,
     predict,
@@ -85,9 +84,12 @@ def test_argmax_tie_breaks_low():
 
 def test_forward_zero_image_zero_head():
     m = init_toy_model(1, k=3, c=2, g=2, classes=4)
-    logits, acts = forward(m, np.zeros((8, 8, 2)))
-    assert not logits.any() and logits.shape == (4,)
-    assert not acts.any() and acts.shape == (8, 8, 3)
+    images = np.zeros((1, 8, 8, 2))
+    logits = _features(m, images) @ m.head
+    acts = first_layer(m, images)
+    assert not logits.any() and logits.shape == (1, 4)
+    assert not acts.any() and acts.shape == (1, 8, 8, 3)
+    assert predict(m, images).tolist() == [0]
 
 
 def test_identity_kernel_gives_relu_of_image():
@@ -116,7 +118,7 @@ def test_feature_order_and_bias():
     img[:2, 2:] = 0.2
     img[2:, :2] = 0.3
     img[2:, 2:] = 0.4
-    logits, _ = forward(m, img)
+    logits = (_features(m, img[None]) @ m.head)[0]
     # pooled quadrants in (row band, col band) order, then the bias
     assert np.max(np.abs(logits - [0.1, 0.2, 0.3, 0.4, 1.0])) < 1e-12
 
@@ -134,7 +136,7 @@ def test_chunked_features_match_one_image_at_a_time(n, channels, h, w, g):
 def test_forward_shape_checks():
     m = init_toy_model(0, k=2, c=1, g=2, classes=2)
     with pytest.raises(ValueError, match="shape mismatch"):
-        forward(m, np.zeros((8, 8, 3)))
+        first_layer(m, np.zeros((1, 8, 8, 3)))
     with pytest.raises(ValueError, match="shape mismatch"):
         predict(m, np.zeros((8, 8, 1)))
     wide = ToyModel(m.filters, np.zeros((2 * 16 * 16 + 1, 2)), pool_grid=16)
