@@ -179,7 +179,8 @@ def _flip_and_crop_batch(images: np.ndarray, flips: np.ndarray, pad: int, offset
 def run_pipeline_batch(images, spec: AugmentSpec, seed: int, indices, tag: str) -> np.ndarray:
     """Augmentation plus flip/crop of a non-empty batch of equally shaped
     images in the configured order; image i draws from the children of
-    origin (seed, indices[i], tag) as the module table lists.
+    origin (seed, indices[i], tag) as the module table lists, so indices
+    holds one entry per image.
 
     The "aug" and "flipcrop" children are independent, so every draw can be
     made before any kernel runs, and the order only changes the
@@ -188,6 +189,8 @@ def run_pipeline_batch(images, spec: AugmentSpec, seed: int, indices, tag: str) 
     other.
     """
     images = np.asarray(images, dtype=np.float64)
+    if len(indices) != len(images):
+        raise ValueError(f"{len(indices)} indices for {len(images)} images")
     aug = derive_states(seed, indices, child_tag_of(tag, "aug"))
     flipcrop = derive_states(seed, indices, child_tag_of(tag, "flipcrop"))
     flips = draw_flips(flipcrop)

@@ -222,7 +222,7 @@ def corrupt(
 ) -> np.ndarray:
     """Apply one corruption to a batch of images, shape (n, h, w, c). Noise
     kinds require a seed: image j draws from the (seed, indices[j], tag)
-    stream, indices defaulting to range(n)."""
+    stream, indices holding one entry per image and defaulting to range(n)."""
     if images.ndim != 4:
         raise ValueError("expected an (n, h, w, c) image batch")
     param = resolve_param(spec, table)
@@ -238,6 +238,8 @@ def corrupt(
     if seed is None:
         raise ValueError(f"{spec.kind} requires an rng seed")
     indices = range(len(images)) if indices is None else indices
+    if len(indices) != len(images):
+        raise ValueError(f"{len(indices)} indices for {len(images)} images")
     out = np.empty_like(images)
     for rows in lockstep_groups(len(images)):
         group = slice(rows.start, rows.stop)

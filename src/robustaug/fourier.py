@@ -143,13 +143,16 @@ def perturb_with_basis(images: np.ndarray, basis: np.ndarray, v: float, states) 
     """Add the basis matrix at l2 norm v with a random sign to each image of
     an (n, h, w, c) batch, then clip.
 
-    Image i draws its sign from column i of the state array states (unit
-    draw < 0.5 means negative) and shares it across channels; each channel
-    receives the same v * basis contribution, so the pre-clip perturbation
-    norm per channel is exactly v.
+    Image i draws its sign from column i of the state array states, which
+    has one column per image (unit draw < 0.5 means negative), and shares
+    it across channels; each channel receives the same v * basis
+    contribution, so the pre-clip perturbation norm per channel is exactly
+    v.
     """
     if basis.shape != images.shape[1:3]:
         raise ValueError("shape mismatch")
+    if states.shape[1] != len(images):
+        raise ValueError(f"{states.shape[1]} streams for {len(images)} images")
     signs = np.where(next_units(states) < 0.5, -1.0, 1.0)
     return clip_unit(images + (signs * v)[:, None, None, None] * basis[None, :, :, None])
 

@@ -18,7 +18,6 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .augment import AugmentSpec
 from .corrupt import NOISE_KINDS, SIGMA_SUITE
 
 
@@ -28,12 +27,10 @@ class EvalResult:
 
     clean_accuracy: float
     per_sigma_accuracy: dict = field(default_factory=dict)
-    per_corruption_error: dict = field(default_factory=dict)
 
     def __post_init__(self):
         values = [self.clean_accuracy]
         values += list(self.per_sigma_accuracy.values())
-        values += list(self.per_corruption_error.values())
         for v in values:
             if not 0.0 <= v <= 1.0:
                 raise ValueError(f"fraction out of range: {v}")
@@ -45,7 +42,6 @@ class Candidate:
 
     label: str
     result: EvalResult
-    spec: AugmentSpec | None = None
 
 
 def accuracy(predictions, labels) -> float:

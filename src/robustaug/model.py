@@ -19,7 +19,8 @@ import numpy as np
 
 from .augment import AugmentSpec, draw_flips, flip_only, mirror, run_pipeline_batch
 from .images import LabeledDataset, clip_unit
-from .rng import child_tag_of, derive_states, derive_stream, lockstep_fields, lockstep_groups, next_ints, next_units
+from .rng import (child_tag_of, derive_states, derive_stream, lockstep_fields, lockstep_groups, next_ints, next_units,
+                  permutations)
 
 TOYM_MAGIC = b"TOYM"
 _TOYM_VERSION = 1
@@ -218,7 +219,8 @@ def train(m: ToyModel, d: LabeledDataset, cfg: TrainConfig) -> ToyModel:
     """Mini-batch SGD on the head; filters stay frozen.
 
     Each epoch visits a fresh Fisher-Yates permutation drawn from the
-    (seed, epoch, "shuffle") stream.  Every example is pushed through the
+    (seed, epoch, "shuffle") stream; the shuffles of a lockstep group of
+    epochs are drawn together.  Every example is pushed through the
     augmentation pipeline with its own (seed, dataset index, "ep<epoch>")
     stream before its features are computed, so augmentation draws depend
     only on the example and epoch, never on batch composition.  The permuted
@@ -241,8 +243,9 @@ def train(m: ToyModel, d: LabeledDataset, cfg: TrainConfig) -> ToyModel:
     cache = None
     if flip_only(cfg.augment):
         cache = np.stack([_features(m, d.images), _features(m, mirror(d.images))])
-    for epoch in range(cfg.epochs):
-        order = derive_stream(cfg.seed, epoch, "shuffle").permutation(n)
+    shuffles = (order for epochs in lockstep_groups(cfg.epochs)
+                for order in permutations(derive_states(cfg.seed, epochs, "shuffle"), n))
+    for epoch, order in enumerate(shuffles):
         tag = f"ep{epoch}"
         if cache is not None:
             flips = draw_flips(derive_states(cfg.seed, order, child_tag_of(tag, "flipcrop"))).astype(np.intp)

@@ -22,35 +22,30 @@ the byte stream:
     next_normal  Box-Muller on two units: r = sqrt(-2 log(1 - u1)),
                  z0 = r cos(2 pi u2), z1 = r sin(2 pi u2); both pair members
                  are emitted before new uniforms are consumed
+    permutation  Fisher-Yates over range(n): position i swaps with
+                 next_int(0, i) for i = n - 1 down to 1
 
-The bulk methods (unit_array, normal_array, normal_field) advance the state
-exactly as the equivalent sequence of scalar calls and are bit-identical to
-them. The package draws from single streams only for model filters
-(normal_array) and the training shuffle (permutation); the other scalar and
-bulk methods stay as the one-stream form of every documented draw order,
-which the tests' per-image references use to check the lockstep engine and
-which perfbench's tracer wraps by name. Two engines produce draws, with
-numpy the only dependency:
+One engine produces every draw, with numpy the only dependency. Streams are
+the columns of a (4, N) uint64 state array. derive_states computes the array
+of N origins that share seed and tag with uint64 array arithmetic, and
+_lockstep_u64 steps all its columns together: each step is a few in-place
+numpy ops over the N columns, only s1 is recorded per step, and the
+scrambler and Box-Muller then run once over the (n, N) block. The draws
+continue on that array: next_units draws each column's uniform field (one
+unit by default), next_ints one integer per column (re-drawing only rejected
+columns; lo == hi draws nothing), lockstep_fields each column's normal field
+and permutations each column's Fisher-Yates order, each advancing the
+columns as the one-stream calls would. Counter-derived streams (Salmon et
+al., SC'11) make the grouping free: which columns step together never
+changes a bit.
 
-    scalar    _fill_block_py steps one stream in a Python loop over its four
-              words; it serves single-stream draws, for which it is faster
-    lockstep  lockstep_fields steps the streams of a whole batch together:
-              the state is a (4, N) uint64 array, each step is a few in-place
-              numpy ops over all N columns, only s1 is recorded per step, and
-              the scrambler and Box-Muller then run once over the (n, N) block
-
-Derivation has the same two forms. derive_stream builds one RngStream with
-Python integer arithmetic, the cheaper form for a single origin. A batch
-whose streams share seed and tag skips the stream objects: derive_states
-computes the (4, N) state array of N indices with uint64 array arithmetic,
-column j equal to derive_stream(seed, indices[j], tag)._state, and the
-lockstep draws continue on that array: next_units draws each column's
-uniform field (one unit by default), next_ints one integer per column
-(re-drawing only rejected columns; lo == hi draws nothing) and
-lockstep_fields each column's normal field, as the scalar calls would.
+RngStream is one such column with its origin record and the pending normal
+an odd-sized normal draw leaves; derive_stream builds it from a one-column
+derive_states, and each method runs the state-array draw on a (4, 1) view
+of its state. The package draws from single streams only for the model
+filters (normal_array); the tests' per-image references draw through the
+other methods, and perfbench's tracer wraps all of them by name.
 """
-
-from __future__ import annotations
 
 import math
 
@@ -73,7 +68,7 @@ _TWO_PI = 2.0 * np.pi
 # 32x32 fields keep the working set under 1 MB per array.
 LOCKSTEP_STREAMS = 96
 
-# uint64 shift and multiply operands for the array engines.
+# uint64 shift and multiply operands for the engine and the derivation.
 _U5 = np.uint64(5)
 _U7 = np.uint64(7)
 _U9 = np.uint64(9)
@@ -96,38 +91,6 @@ def _fnv1a64(text: str) -> int:
     for byte in text.encode("utf-8"):
         h = ((h ^ byte) * _FNV_PRIME) & _M64
     return h
-
-
-def _mix64(x: int) -> int:
-    """SplitMix64 finalizer, used to decorrelate adjacent indices."""
-    x = ((x ^ (x >> 30)) * _MIX1) & _M64
-    x = ((x ^ (x >> 27)) * _MIX2) & _M64
-    return x ^ (x >> 31)
-
-
-def _splitmix64_next(state: int) -> tuple[int, int]:
-    state = (state + _GOLDEN) & _M64
-    return state, _mix64(state)
-
-
-def _fill_block_py(state, out):
-    """Scalar engine: fill out with the next len(out) outputs of one stream."""
-    s0, s1, s2, s3 = int(state[0]), int(state[1]), int(state[2]), int(state[3])
-    for i in range(out.shape[0]):
-        x = (s1 * 5) & _M64
-        x = ((x << 7) | (x >> 57)) & _M64
-        out[i] = (x * 9) & _M64
-        t = (s1 << 17) & _M64
-        s2 ^= s0
-        s3 ^= s1
-        s1 ^= s2
-        s0 ^= s3
-        s2 ^= t
-        s3 = ((s3 << 45) | (s3 >> 19)) & _M64
-    state[0] = s0
-    state[1] = s1
-    state[2] = s2
-    state[3] = s3
 
 
 def _lockstep_u64(states, n: int, scratch=None) -> np.ndarray:
@@ -187,7 +150,8 @@ class RngStream:
 
     Do not construct directly; use derive_stream so the origin record
     (seed, index, tag) stays truthful. The record is what allows an op to
-    spawn children via derive() without coordinating with other ops.
+    spawn children via derive() without coordinating with other ops. Every
+    draw is the state-array draw on a one-column view of the state.
     """
 
     __slots__ = ("seed", "index", "tag", "_state", "_pending_normal")
@@ -204,11 +168,11 @@ class RngStream:
         return derive_stream(self.seed, self.index, child_tag_of(self.tag, child_tag))
 
     def next_u64(self) -> int:
-        return int(self._u64_block(1)[0])
+        return int(_lockstep_u64(self._state[:, None], 1)[0, 0])
 
     def next_unit(self) -> float:
         """Uniform double in [0, 1) with 53 random bits."""
-        return (self.next_u64() >> 11) * _INV_2_53
+        return float(next_units(self._state[:, None])[0])
 
     def next_int(self, lo: int, hi: int) -> int:
         """Uniform integer in [lo, hi], both ends inclusive.
@@ -216,60 +180,19 @@ class RngStream:
         Uses bitmask rejection, so there is no modulo bias. lo == hi is
         answered without consuming a draw.
         """
-        if lo > hi:
-            raise ValueError(f"empty range: [{lo}, {hi}]")
-        if lo == hi:
-            return lo
-        span = hi - lo + 1
-        mask = (1 << (span - 1).bit_length()) - 1
-        while True:
-            x = self.next_u64() & mask
-            if x < span:
-                return lo + x
-
-    def permutation(self, n: int) -> np.ndarray:
-        """Fisher-Yates permutation of range(n): position i swaps with
-        next_int(0, i) for i = n - 1 down to 1. Each of those calls draws at
-        least once, so the walk takes blocks of one draw per remaining swap
-        and ends with the stream where the calls would leave it."""
-        order = list(range(n))
-        i = n - 1
-        while i > 0:
-            for x in self._u64_block(i).tolist():
-                x &= (1 << i.bit_length()) - 1
-                if x <= i:
-                    order[i], order[x] = order[x], order[i]
-                    i -= 1
-                    if i == 0:
-                        break
-        return np.array(order, dtype=np.int64)
+        return int(next_ints(self._state[:, None], lo, hi)[0])
 
     def next_normal(self) -> float:
         """Standard normal via Box-Muller; pair members come out in order."""
-        if self._pending_normal is not None:
-            z = self._pending_normal
-            self._pending_normal = None
-            return z
-        u1 = self.next_unit()
-        u2 = self.next_unit()
-        r = np.sqrt(-2.0 * np.log(1.0 - u1))
-        theta = _TWO_PI * u2
-        z0 = r * np.cos(theta)
-        self._pending_normal = float(r * np.sin(theta))
-        return float(z0)
-
-    def _u64_block(self, n: int) -> np.ndarray:
-        out = np.empty(n, dtype=np.uint64)
-        _fill_block_py(self._state, out)
-        return out
+        return float(self.normal_array(1)[0])
 
     def unit_array(self, n: int) -> np.ndarray:
         """n uniforms, bit-identical to n next_unit() calls."""
-        block = self._u64_block(n)
-        return (block >> _U11).astype(np.float64) * _INV_2_53
+        return next_units(self._state[:, None], (n,))[0]
 
     def normal_array(self, n: int) -> np.ndarray:
-        """n normals, bit-identical to n next_normal() calls."""
+        """n normals, bit-identical to n next_normal() calls: a pending
+        normal comes first, and an odd count leaves one pending."""
         out = np.empty(n, dtype=np.float64)
         k = 0
         if self._pending_normal is not None and n > 0:
@@ -279,8 +202,7 @@ class RngStream:
         remaining = n - k
         if remaining <= 0:
             return out
-        pairs = (remaining + 1) // 2
-        z = _box_muller(self.unit_array(2 * pairs))
+        z = _box_muller(_lockstep_units(self._state[:, None], remaining + remaining % 2))[:, 0]
         out[k:] = z[:remaining]
         if remaining % 2 == 1:
             self._pending_normal = float(z[-1])
@@ -288,10 +210,7 @@ class RngStream:
 
     def normal_field(self, shape) -> np.ndarray:
         """Normal field filled in row-major (C) order."""
-        n = 1
-        for dim in shape:
-            n *= int(dim)
-        return self.normal_array(n).reshape(shape)
+        return self.normal_array(math.prod(int(dim) for dim in shape)).reshape(shape)
 
 
 def child_tag_of(tag: str, child: str) -> str:
@@ -306,18 +225,12 @@ def derive_stream(seed: int, index: int, tag: str) -> RngStream:
     with different origins are statistically independent, and the same
     origin always yields the same byte stream.
     """
-    base = (seed & _M64) ^ _mix64(index & _M64) ^ _fnv1a64(tag)
-    words = []
-    for _ in range(4):
-        base, word = _splitmix64_next(base)
-        words.append(word)
-    if not any(words):
-        words[0] = _GOLDEN  # xoshiro must not start all-zero
-    return RngStream(words, seed, index, tag)
+    return RngStream(derive_states(seed, [index], tag)[:, 0], seed, index, tag)
 
 
 def _mix64_array(x: np.ndarray) -> np.ndarray:
-    """_mix64 of every element of a uint64 array, computed in place."""
+    """The SplitMix64 finalizer of every element of a uint64 array, computed
+    in place; it decorrelates adjacent indices."""
     t = np.empty_like(x)
     for shift, factor in ((_U30, _U_MIX1), (_U27, _U_MIX2), (_U31, None)):
         np.right_shift(x, shift, out=t)
@@ -339,8 +252,9 @@ def _as_u64(indices) -> np.ndarray:
 
 def derive_states(seed: int, indices, tag: str) -> np.ndarray:
     """The xoshiro states of many origins sharing seed and tag: a
-    C-contiguous (4, len(indices)) uint64 array whose column j equals
-    derive_stream(seed, indices[j], tag)._state."""
+    C-contiguous (4, len(indices)) uint64 array whose column j is the state
+    of origin (seed, indices[j], tag), seeded as the module docstring
+    documents."""
     base = _mix64_array(_as_u64(indices))
     base ^= np.uint64((seed & _M64) ^ _fnv1a64(tag))
     # SplitMix64 word k is the mix of base + k * golden, k = 1..4.
@@ -388,6 +302,33 @@ def next_ints(states, lo, hi) -> np.ndarray:
         out[todo[ok]] = x[ok]
         todo = todo[~ok]
     return lo + out.astype(np.int64)
+
+
+def permutations(states, n: int) -> np.ndarray:
+    """One Fisher-Yates permutation of range(n) per column of a (4, N) state
+    array, as an (N, n) int64 array; the states advance as the column's
+    next_int(0, i) calls for i = n - 1 down to 1 would.
+
+    Each of those calls draws at least once, so every round steps the
+    unfinished columns by the fewest swaps any of them has left, and no
+    column draws past its last swap."""
+    orders = [list(range(n)) for _ in range(states.shape[1])]
+    left = [n - 1] * states.shape[1]  # swaps left, also the next position
+    todo = list(range(states.shape[1])) if n > 1 else []
+    while todo:
+        sub = states[:, todo]
+        block = _lockstep_u64(sub, min(left[j] for j in todo))
+        states[:, todo] = sub
+        for j, draws in zip(todo, block.T.tolist()):
+            order, i = orders[j], left[j]
+            for x in draws:
+                x &= (1 << i.bit_length()) - 1
+                if x <= i:
+                    order[i], order[x] = order[x], order[i]
+                    i -= 1
+            left[j] = i
+        todo = [j for j in todo if left[j]]
+    return np.array(orders, dtype=np.int64).reshape(states.shape[1], n)
 
 
 def lockstep_fields(states, shape) -> np.ndarray:

@@ -462,6 +462,16 @@ def test_pipeline_batch_matches_per_image_pipeline(kind, order, pad, channels):
         assert np.array_equal(batch.view(np.uint64), single.view(np.uint64))
 
 
+@pytest.mark.parametrize("kind", KINDS)
+@pytest.mark.parametrize("origins", [1, 2])
+def test_pipeline_batch_rejects_an_origin_count_mismatch(kind, origins):
+    # One origin must not be broadcast over the batch: every image would
+    # get the same cutout, crop and flip.
+    spec = AugmentSpec(kind=kind, patch_size=3, fill=(0.5,), pad=2)
+    with pytest.raises(ValueError, match="indices for 5 images"):
+        run_pipeline_batch(np.zeros((5, 6, 6, 1)), spec, 0, list(range(7, 7 + origins)), "batch")
+
+
 def test_spec_validation():
     with pytest.raises(ValueError, match="kind"):
         AugmentSpec(kind="blur")

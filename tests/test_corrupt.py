@@ -157,6 +157,15 @@ def test_batch_matches_batches_of_one(kind, n):
             assert np.array_equal(one, want)
 
 
+@pytest.mark.parametrize("kind", NOISE_KINDS)
+@pytest.mark.parametrize("origins", [1, 2])
+def test_noise_rejects_an_origin_count_mismatch(kind, origins):
+    # One origin must not be broadcast over the batch as one shared draw.
+    images = random_image(3, 6, 6, 3)[None].repeat(5, axis=0)
+    with pytest.raises(ValueError, match="indices for 5 images"):
+        corrupt(images, CorruptionSpec(kind, severity=3), 0, list(range(7, 7 + origins)), "batch")
+
+
 def test_shot_noise_large_lambda_near_identity():
     img = np.full((32, 32, 1), 0.5)
     out = corrupt_one(img, CorruptionSpec(kind="shot_noise", param=1e6), 1, 0, "shot")

@@ -234,6 +234,14 @@ def test_perturb_shape_mismatch():
         perturb_with_basis(np.zeros((1, 8, 8, 1)), fourier_basis(4, 4, 0, 0), 1.0, sign_states(False))
 
 
+@pytest.mark.parametrize("origins", [1, 2])
+def test_perturb_rejects_a_stream_count_mismatch(origins):
+    # One stream must not be broadcast over the batch as one shared sign.
+    states = derive_states(0, range(7, 7 + origins), "fourier/0,1")
+    with pytest.raises(ValueError, match="streams for 5 images"):
+        perturb_with_basis(np.full((5, 4, 4, 1), 0.5), fourier_basis(4, 4, 0, 1), 1.0, states)
+
+
 def test_high_pass_zero_radius_identity():
     rng = np.random.default_rng(14)
     img = rng.random((8, 8, 3))

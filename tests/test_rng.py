@@ -14,11 +14,27 @@ from robustaug.rng import (
     lockstep_groups,
     next_ints,
     next_units,
+    permutations,
 )
 
 import rng_reference
 
 FIXTURE = os.path.join(os.path.dirname(__file__), "fixtures", "rng_golden.txt")
+
+
+class CountingReference(rng_reference.Reference):
+    """A reference stream that counts its u64 draws."""
+
+    draws = 0
+
+    def u64(self):
+        self.draws += 1
+        return super().u64()
+
+
+def reference_states(refs):
+    """The (4, N) state array of the reference streams refs."""
+    return np.array([ref.s for ref in refs], dtype=np.uint64).reshape(len(refs), 4).T
 
 
 def load_golden():
@@ -80,8 +96,9 @@ def test_derive_chains_tags():
 
 
 def test_unit_range_and_mean():
-    stream = derive_stream(2024, 0, "unit-stats")
-    u = stream.unit_array(1_000_000)
+    # A million uniforms as 1000 streams of 1000, drawn in one lockstep call.
+    u = next_units(derive_states(2024, range(1000), "unit-stats"), (1000,))
+    assert u.size == 1_000_000
     assert np.all(u >= 0.0) and np.all(u < 1.0)
     assert abs(u.mean() - 0.5) < 1e-3
 
@@ -89,37 +106,40 @@ def test_unit_range_and_mean():
 def test_unit_array_matches_scalar_calls():
     a = derive_stream(5, 6, "bulk")
     b = derive_stream(5, 6, "bulk")
+    ref = rng_reference.Reference(5, 6, "bulk")
     bulk = a.unit_array(257)
     scalar = np.array([b.next_unit() for _ in range(257)])
     assert np.array_equal(bulk, scalar)
+    assert bulk.tolist() == [ref.unit() for _ in range(257)]
+    assert a._state.tolist() == b._state.tolist() == ref.s
 
 
 @pytest.mark.parametrize("count", [1, 7, 16, 130])
 def test_lockstep_fields_match_scalar_fields(count):
     """Fields of a derive_states array whose columns were advanced by
     different numbers of next_ints draws over spans 3, 5 and 33 (span 33
-    rejects about half its draws), against scalar normal_field calls, with
-    the states compared after every field."""
+    rejects about half its draws), against the reference's per-stream
+    normals, with the states compared after every field."""
     states = derive_states(17, range(count), "lockstep")
-    streams = [derive_stream(17, j, "lockstep") for j in range(count)]
+    refs = [rng_reference.Reference(17, j, "lockstep") for j in range(count)]
     columns = np.arange(count)
     spans = np.array((2, 4, 32))[columns % 3]
     for step in range(3):
         # A column with lo == hi draws nothing, so column j takes j % 4 draws.
         hi = np.where(columns % 4 > step, spans, 0)
         next_ints(states, 0, hi)
-        for stream, h in zip(streams, hi):
-            stream.next_int(0, int(h))
-    # 105 values is odd: a scalar stream ends the field holding a pending
-    # normal, which lockstep_fields drops, so the scalar side drops it too.
+        for ref, h in zip(refs, hi):
+            ref.integer(0, int(h))
+    # 105 values is odd: a reference stream ends the field holding a pending
+    # normal, which lockstep_fields drops, so the reference drops it too.
     for shape in ((5, 7, 3), (32, 32, 1), (0,)):
         got = lockstep_fields(states, shape)
-        want = np.stack([s.normal_field(shape) for s in streams])
-        for stream in streams:
-            stream._pending_normal = None
+        want = np.array([[ref.normal() for _ in range(int(np.prod(shape)))] for ref in refs])
+        for ref in refs:
+            ref.pending = None
         assert got.shape == (count,) + shape
-        assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
-        assert np.array_equal(states, np.stack([s._state for s in streams], axis=1))
+        assert np.array_equal(got.reshape(count, -1).view(np.uint64), want.view(np.uint64))
+        assert np.array_equal(states, reference_states(refs))
 
 
 def test_lockstep_groups_cover_whole_batches():
@@ -144,27 +164,22 @@ def test_int_rejects_empty_range():
 
 
 def test_int_uniform_frequencies():
-    stream = derive_stream(31337, 0, "freq")
+    # One draw from each of n streams, in one lockstep call.
     n = 400_000
-    counts = np.zeros(4, dtype=np.int64)
-    for _ in range(n):
-        counts[stream.next_int(0, 3)] += 1
+    counts = np.bincount(next_ints(derive_states(31337, range(n), "freq"), 0, 3), minlength=4)
     assert np.all(np.abs(counts / n - 0.25) < 0.01)
 
 
 def test_int_bounds_inclusive():
-    stream = derive_stream(8, 8, "bounds")
-    seen = set()
-    for _ in range(20_000):
-        v = stream.next_int(1, 250)
-        assert 1 <= v <= 250
-        seen.add(v)
-    assert 1 in seen and 250 in seen
+    # One draw from each of 20000 streams, in one lockstep call.
+    v = next_ints(derive_states(8, range(20_000), "bounds"), 1, 250)
+    assert v.min() == 1 and v.max() == 250
 
 
 def test_normal_moments():
-    stream = derive_stream(555, 0, "moments")
-    z = stream.normal_array(1_000_000)
+    # A million normals as 1000 streams of 1000, drawn in one lockstep call.
+    z = lockstep_fields(derive_states(555, range(1000), "moments"), (1000,))
+    assert z.size == 1_000_000
     assert abs(z.mean()) < 5e-3
     assert abs(z.std() - 1.0) < 5e-3
 
@@ -232,16 +247,16 @@ def test_derive_states_match_derive_stream(seed, tag):
     states = derive_states(seed, indices, tag)
     assert states.dtype == np.uint64 and states.shape == (4, len(indices)) and states.flags.c_contiguous
     for j, index in enumerate(indices):
-        assert np.array_equal(states[:, j], derive_stream(seed, index, tag)._state)
+        want = rng_reference.seed_state(seed, index, tag)
+        assert states[:, j].tolist() == derive_stream(seed, index, tag)._state.tolist() == want
     # Integer arrays, ranges and an empty batch take the same rule.
     assert np.array_equal(derive_states(seed, np.arange(-3, 4), tag), derive_states(seed, list(range(-3, 4)), tag))
-    assert np.array_equal(derive_states(seed, range(5), tag)[:, 2], derive_stream(seed, 2, tag)._state)
+    assert derive_states(seed, range(5), tag)[:, 2].tolist() == rng_reference.seed_state(seed, 2, tag)
     assert derive_states(seed, [], tag).shape == (4, 0)
 
 
 def test_derive_states_share_the_all_zero_guard(monkeypatch):
-    # No origin is known to mix to four zero words, so force the mixers to.
-    monkeypatch.setattr(rng, "_mix64", lambda x: 0)
+    # No origin is known to mix to four zero words, so force the mixer to.
     monkeypatch.setattr(rng, "_mix64_array", lambda x: np.zeros_like(x))
     guarded = derive_stream(1, 2, "t")._state
     assert guarded.tolist() == [rng._GOLDEN, 0, 0, 0]
@@ -250,27 +265,28 @@ def test_derive_states_share_the_all_zero_guard(monkeypatch):
 
 @pytest.mark.parametrize("columns", [1, 7, 130])
 def test_lockstep_draws_match_scalar_draws(columns):
-    """next_units and next_ints against the scalar calls, for spans 1, 3, 5,
-    9 and 33 (9 and 33 reject about half their draws) and a span that
-    differs per column, then a 3x5 next_units field against unit_array,
-    with the states compared after every draw."""
+    """next_units and next_ints against the reference's per-stream draws,
+    for spans 1, 3, 5, 9 and 33 (9 and 33 reject about half their draws)
+    and a span that differs per column, then a 3x5 next_units field, with
+    the states compared after every draw."""
     indices = np.arange(columns) * 3 - 1
     states = derive_states(41, indices, "draws")
-    streams = [derive_stream(41, int(i), "draws") for i in indices]
+    refs = [rng_reference.Reference(41, int(i), "draws") for i in indices]
     per_column_hi = indices % 6 + 3
     for lo, hi in ((0, 0), (4, 6), (0, 4), (1, 9), (-16, 16), (0, per_column_hi), (2, None)):
         if hi is None:
             got = next_units(states)
-            want = [s.next_unit() for s in streams]
+            want = [ref.unit() for ref in refs]
         else:
             got = next_ints(states, lo, hi)
-            want = [s.next_int(lo, int(h)) for s, h in zip(streams, np.broadcast_to(hi, columns))]
+            want = [ref.integer(lo, int(h)) for ref, h in zip(refs, np.broadcast_to(hi, columns))]
             assert got.dtype == np.int64
         assert got.tolist() == want
-        assert np.array_equal(states, np.stack([s._state for s in streams], axis=1))
+        assert np.array_equal(states, reference_states(refs))
     fields = next_units(states, (3, 5))
-    assert np.array_equal(fields, np.stack([s.unit_array(15).reshape(3, 5) for s in streams]))
-    assert np.array_equal(states, np.stack([s._state for s in streams], axis=1))
+    assert fields.shape == (columns, 3, 5)
+    assert fields.reshape(columns, 15).tolist() == [[ref.unit() for _ in range(15)] for ref in refs]
+    assert np.array_equal(states, reference_states(refs))
 
 
 def test_lockstep_int_degenerate_range_consumes_nothing_and_rejects_empty():
@@ -282,14 +298,35 @@ def test_lockstep_int_degenerate_range_consumes_nothing_and_rejects_empty():
         next_ints(states, 3, np.array([5, 2, 5, 5]))
 
 
-@pytest.mark.parametrize("n", [1, 2, 3, 17, 400])
-def test_permutation_matches_per_call_fisher_yates(n):
-    walked = derive_stream(6, n, "shuffle")
-    called = derive_stream(6, n, "shuffle")
+def reference_shuffle(ref, n):
+    """Fisher-Yates over range(n) with one reference next_int per swap."""
     order = list(range(n))
     for i in range(n - 1, 0, -1):
-        j = called.next_int(0, i)
+        j = ref.integer(0, i)
         order[i], order[j] = order[j], order[i]
-    got = walked.permutation(n)
-    assert got.dtype == np.int64 and got.tolist() == order
-    assert np.array_equal(walked._state, called._state)
+    return order
+
+
+@pytest.mark.parametrize("n", [0, 1, 2, 3, 17, 400])
+def test_permutation_matches_per_call_fisher_yates(n):
+    states = derive_states(6, [n], "shuffle")
+    ref = rng_reference.Reference(6, n, "shuffle")
+    got = permutations(states, n)
+    assert got.dtype == np.int64 and got.shape == (1, n)
+    assert got[0].tolist() == reference_shuffle(ref, n)
+    assert np.array_equal(states, reference_states([ref]))
+
+
+@pytest.mark.parametrize("n, columns", [(0, 3), (1, 2), (2, 5), (3, 7), (17, 9), (400, 12)])
+def test_permutations_of_columns_that_finish_in_different_rounds(n, columns):
+    """Columns whose rejections differ need different numbers of draws, so
+    they finish in different rounds; each column still matches the
+    reference's per-call Fisher-Yates and stops at its last swap."""
+    states = derive_states(6, range(columns), "shuffle")
+    refs = [CountingReference(6, j, "shuffle") for j in range(columns)]
+    got = permutations(states, n)
+    assert got.shape == (columns, n)
+    assert got.tolist() == [reference_shuffle(ref, n) for ref in refs]
+    assert np.array_equal(states, reference_states(refs))
+    if n >= 3:
+        assert len({ref.draws for ref in refs}) > 1
