@@ -112,6 +112,23 @@ def test_train_checkpoint_digest(name):
     assert train_digest(name) == TRAIN_DIGESTS[name], blas_environment()
 
 
+CRITERION_8_PATCH_DIGEST = "48c5d1b9a90f5064cb0749a0339e6c75bc78d3330472751faee340812b185732"
+
+
+def criterion_8_patch_model():
+    """Two epochs of the criterion-8 patch arm on its 400-image dataset and
+    48-filter model, in batches of 16: the run crosses lockstep group
+    boundaries unless one group holds all 400 examples."""
+    spec = AugmentSpec(kind="patch_gaussian", patch_size=32, sigma_max=2.5, sample_up_to=True)
+    cfg = TrainConfig(epochs=2, learning_rate=0.2, batch_size=16, seed=1, augment=spec)
+    return train(init_toy_model(1, 48, 1, 4, 2), synth_dataset(1, 400), cfg)
+
+
+def test_criterion_8_patch_checkpoint_digest():
+    digest = hashlib.sha256(encode_model(criterion_8_patch_model())).hexdigest()
+    assert digest == CRITERION_8_PATCH_DIGEST, blas_environment()
+
+
 PIPELINE_DIGESTS = {
     ("augment_then_flipcrop", 0): "8b52d71c8d793690b8068cdd2f50ed651183a9b3315144872917b9a696a8375d",
     ("augment_then_flipcrop", 4): "7031c568f2f57fbae61537ba9a11e2135e1bca031e5487a28eba0448c3ba79d7",
