@@ -24,14 +24,14 @@ processes, batch boundaries and implementations:
                          [0, 2 * pad])
 
 It builds no stream per image: it derives the state arrays of the batch's
-children and makes each draw for the whole batch in lockstep. The kernels
-take those draws explicitly (rect_masks, gaussian_batch, cutout_batch,
-_flip_and_crop_batch) and run on the whole batch at once. run_pipeline is
-the same pipeline on one image.
+children, makes each draw for the whole batch in lockstep, and hands the
+draws to kernels that run on the whole batch (rect_masks, gaussian_batch,
+cutout_batch, _flip_and_crop_batch). run_pipeline is a batch of one.
 
 The noisy copy is clipped to [0, 1] before the patch is combined with the
-original, so border pixels of the patch never exceed the unit range. All
-ops return new arrays and leave pixels outside the sampled rect
+original, so border pixels of the patch never exceed the unit range. The
+pipeline returns a new array and never writes to its input: kernels work
+in place only on arrays it owns. Pixels outside the sampled rect stay
 bit-identical to the input.
 """
 
@@ -41,7 +41,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .images import clip_unit
 from .rng import RngStream, child_tag_of, derive_states, lockstep_fields, next_ints, next_units
 
 KINDS = ("none", "gaussian", "cutout", "patch_gaussian")
@@ -94,14 +93,19 @@ def rect_masks(cx, cy, h: int, w: int, patch) -> np.ndarray:
     return in_rows[:, :, None] & in_cols[:, None, :]
 
 
-def gaussian_batch(images: np.ndarray, sigma, noise: np.ndarray, masks=None) -> np.ndarray:
+def gaussian_batch(images: np.ndarray, sigma, noise: np.ndarray, masks=None, out=None) -> np.ndarray:
     """clip_unit(images[i] + sigma[i] * noise[i]) for each image of an
     (n, h, w, c) batch, with one sigma per image. With (n, h, w) masks the
-    noisy copy replaces each image only inside its mask."""
+    noisy copy replaces each image only inside its mask. The result is
+    written to out, which may be noise itself, or to a new array."""
     if noise.shape != images.shape:
         raise ValueError(f"shape mismatch: images {images.shape} vs noise {noise.shape}")
-    noisy = clip_unit(images + np.asarray(sigma)[:, None, None, None] * noise)
-    return noisy if masks is None else np.where(masks[..., None], noisy, images)
+    noisy = np.multiply(np.asarray(sigma)[:, None, None, None], noise, out=out)
+    noisy += images
+    np.clip(noisy, 0.0, 1.0, out=noisy)
+    if masks is not None:
+        np.copyto(noisy, images, where=~masks[..., None])
+    return noisy
 
 
 def cutout_batch(images: np.ndarray, masks: np.ndarray, fill) -> np.ndarray:
@@ -135,11 +139,12 @@ def run_pipeline(img: np.ndarray, spec: AugmentSpec, rng: RngStream) -> np.ndarr
 
 
 def _augment_batch(images: np.ndarray, spec: AugmentSpec, states) -> np.ndarray:
-    """The spec's augmentation over a batch whose "aug" draws come from the
-    columns of states; all prefix draws precede the lockstep noise fields."""
+    """The spec's augmentation, as a new array, over a batch whose "aug"
+    draws come from the columns of states; all prefix draws precede the
+    lockstep noise fields."""
     _, h, w, c = images.shape
     if spec.kind == "none":
-        return images
+        return images.copy()
     masks = None
     if spec.kind != "gaussian":
         patch = spec.patch_size
@@ -152,12 +157,14 @@ def _augment_batch(images: np.ndarray, spec: AugmentSpec, states) -> np.ndarray:
         if spec.kind == "cutout":
             return cutout_batch(images, masks, spec.fill)
     sigma = spec.sigma_max * next_units(states)
-    return gaussian_batch(images, sigma, lockstep_fields(states, (h, w, c)), masks)
+    noise = lockstep_fields(states, (h, w, c))
+    return gaussian_batch(images, sigma, noise, masks, out=noise)
 
 
-def _flip_and_crop_batch(images: np.ndarray, flips: np.ndarray, pad: int, offsets) -> np.ndarray:
-    """Mirror the images whose flips entry is set, zero-pad by pad and crop
-    back to size at the drawn (ox, oy) offsets, each an (n,) array.
+def _flip_and_crop_batch(images: np.ndarray, flips: np.ndarray, pad: int, offsets, in_place=False) -> np.ndarray:
+    """Mirror the images whose flips entry is set, in place or in a copy,
+    then zero-pad by pad and crop back to size at the drawn (ox, oy)
+    offsets, each an (n,) array.
 
     An offset pair is the translation of the content measured from its most
     up-left position: with offsets (0, 0) the content sits flush with the
@@ -165,11 +172,12 @@ def _flip_and_crop_batch(images: np.ndarray, flips: np.ndarray, pad: int, offset
     bottom; offsets (2*pad, 2*pad) push it fully down-right.
     """
     n, h, w, c = images.shape
-    flipped = np.where(flips[:, None, None, None], mirror(images), images)
+    images = images if in_place else images.copy()
+    images[flips] = mirror(images[flips])
     if pad == 0:
-        return flipped
+        return images
     padded = np.zeros((n, h + 2 * pad, w + 2 * pad, c))
-    padded[:, pad:pad + h, pad:pad + w] = flipped
+    padded[:, pad:pad + h, pad:pad + w] = images
     ox, oy = offsets
     rows = (2 * pad - oy)[:, None] + np.arange(h)
     cols = (2 * pad - ox)[:, None] + np.arange(w)
@@ -199,4 +207,5 @@ def run_pipeline_batch(images, spec: AugmentSpec, seed: int, indices, tag: str) 
         offsets = next_ints(flipcrop, 0, 2 * spec.pad), next_ints(flipcrop, 0, 2 * spec.pad)
     if spec.order == "flipcrop_then_augment":
         return _augment_batch(_flip_and_crop_batch(images, flips, spec.pad, offsets), spec, aug)
-    return _flip_and_crop_batch(_augment_batch(images, spec, aug), flips, spec.pad, offsets)
+    # The augmented batch is a new array, so it is mirrored in place.
+    return _flip_and_crop_batch(_augment_batch(images, spec, aug), flips, spec.pad, offsets, in_place=True)

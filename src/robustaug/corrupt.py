@@ -160,7 +160,8 @@ def _check_domain(kind: str, param: float) -> None:
 
 
 def _gaussian_noise(images: np.ndarray, sigma: float, states: np.ndarray) -> np.ndarray:
-    return gaussian_batch(images, np.full(len(images), sigma), lockstep_fields(states, images.shape[1:]))
+    noise = lockstep_fields(states, images.shape[1:])
+    return gaussian_batch(images, np.full(len(images), sigma), noise, out=noise)
 
 
 def _shot_noise(images: np.ndarray, lam: float, states: np.ndarray) -> np.ndarray:

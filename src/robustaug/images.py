@@ -48,9 +48,7 @@ class LabeledDataset:
         if self.images.ndim != 4:
             raise ValueError(f"shape mismatch: images must be (N,H,W,C), got {self.images.shape}")
         if self.labels.ndim != 1 or len(self.labels) != len(self.images):
-            raise ValueError(
-                f"shape mismatch: {len(self.images)} images vs {self.labels.shape} labels"
-            )
+            raise ValueError(f"shape mismatch: {len(self.images)} images vs {self.labels.shape} labels")
 
     def __len__(self) -> int:
         return len(self.images)
@@ -73,10 +71,8 @@ def read_cifar10_batch(data: bytes) -> LabeledDataset:
         raise ValueError(f"label out of range: {labels.max()}")
     planes = raw[:, 1:].reshape(-1, 3, 32, 32)
     # Divide at single precision so the values survive an IMGT round trip.
-    images = (planes.transpose(0, 2, 3, 1).astype(np.float32) / np.float32(255)).astype(
-        np.float64
-    )
-    return LabeledDataset(images, labels)
+    images = planes.transpose(0, 2, 3, 1).astype(np.float32) / np.float32(255)
+    return LabeledDataset(images.astype(np.float64), labels)
 
 
 def encode_tensor(t: np.ndarray) -> bytes:

@@ -29,9 +29,7 @@ class EvalResult:
     per_sigma_accuracy: dict = field(default_factory=dict)
 
     def __post_init__(self):
-        values = [self.clean_accuracy]
-        values += list(self.per_sigma_accuracy.values())
-        for v in values:
+        for v in [self.clean_accuracy, *self.per_sigma_accuracy.values()]:
             if not 0.0 <= v <= 1.0:
                 raise ValueError(f"fraction out of range: {v}")
 
@@ -48,9 +46,7 @@ def accuracy(predictions, labels) -> float:
     predictions = np.asarray(predictions)
     labels = np.asarray(labels)
     if predictions.shape != labels.shape:
-        raise ValueError(
-            f"length mismatch: {predictions.shape} predictions vs {labels.shape} labels"
-        )
+        raise ValueError(f"length mismatch: {predictions.shape} predictions vs {labels.shape} labels")
     if predictions.size == 0:
         raise ValueError("empty predictions")
     return float(np.count_nonzero(predictions == labels)) / predictions.size
@@ -96,16 +92,7 @@ def select_hparams(candidates, z: float) -> Candidate:
     if not candidates:
         raise ValueError("no candidates")
     qualified = [c for c in candidates if c.result.clean_accuracy >= z]
+    # max keeps the first of equal maxima, so ties break by input order.
     if qualified:
-        best = qualified[0]
-        best_rob = relative_gaussian_robustness(best.result)
-        for c in qualified[1:]:
-            rob = relative_gaussian_robustness(c.result)
-            if rob > best_rob:
-                best, best_rob = c, rob
-        return best
-    best = candidates[0]
-    for c in candidates[1:]:
-        if c.result.clean_accuracy > best.result.clean_accuracy:
-            best = c
-    return best
+        return max(qualified, key=lambda c: relative_gaussian_robustness(c.result))
+    return max(candidates, key=lambda c: c.result.clean_accuracy)

@@ -18,7 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .augment import AugmentSpec, draw_flips, flip_only, mirror, run_pipeline_batch
-from .images import LabeledDataset, clip_unit
+from .images import LabeledDataset
 from .rng import (child_tag_of, derive_states, derive_stream, lockstep_fields, lockstep_groups, next_ints, next_units,
                   permutations)
 
@@ -225,15 +225,16 @@ def train(m: ToyModel, d: LabeledDataset, cfg: TrainConfig) -> ToyModel:
     stream before its features are computed, so augmentation draws depend
     only on the example and epoch, never on batch composition.  The permuted
     order is augmented in groups of whole batches (lockstep_groups), whose
-    noise fields are drawn together; each batch then takes its own step.
+    noise fields are drawn together; each batch then convolves its own
+    images from the group and takes its step, so no features array spans
+    the group.
 
     Under a flip_only pipeline (kind "none", pad 0) every example is either
     itself or its mirror, so the features of both variants are computed once
     and each batch reads its rows from that cache of
     2 * n * (k * pool_grid**2 + 1) * 8 bytes, by the flip decision, the first
-    draw of each example's "ep<epoch>/flipcrop" stream. Any other pipeline
-    convolves each group's augmented images. Both give the same rows bit for
-    bit.
+    draw of each example's "ep<epoch>/flipcrop" stream. Both give the same
+    rows bit for bit.
     """
     n = len(d)
     if n == 0:
@@ -250,14 +251,13 @@ def train(m: ToyModel, d: LabeledDataset, cfg: TrainConfig) -> ToyModel:
         if cache is not None:
             flips = draw_flips(derive_states(cfg.seed, order, child_tag_of(tag, "flipcrop"))).astype(np.intp)
         for group in lockstep_groups(n, cfg.batch_size):
-            group_idx = order[group.start:group.stop]
+            idx = order[group.start:group.stop]
             if cache is None:
-                feats = _features(m, run_pipeline_batch(d.images[group_idx], cfg.augment, cfg.seed, group_idx, tag))
-            else:
-                feats = cache[flips[group.start:group.stop], group_idx]
-            for start in range(0, len(group_idx), cfg.batch_size):
-                batch = slice(start, start + cfg.batch_size)
-                head -= cfg.learning_rate * _ce_gradient(feats[batch], head, labels[group_idx[batch]])
+                images = run_pipeline_batch(d.images[idx], cfg.augment, cfg.seed, idx, tag)
+            for b in (slice(start, start + cfg.batch_size) for start in range(0, len(idx), cfg.batch_size)):
+                feats = _features(m, images[b]) if cache is None else cache[flips[group.start:][b], idx[b]]
+                head -= cfg.learning_rate * _ce_gradient(feats, head, labels[idx[b]])
+            images = None  # freed before the next group is augmented, which lowers peak memory
     return ToyModel(filters=m.filters, head=head, pool_grid=m.pool_grid)
 
 
@@ -271,7 +271,7 @@ def synth_dataset(seed: int, n: int, kind: str = "low_freq_vs_high_freq") -> Lab
     if n < 2:
         raise ValueError("need at least 2 examples")
     size = SYNTH_SIZE
-    yy, xx = np.meshgrid(np.arange(size), np.arange(size), indexing="ij")
+    axis = np.arange(size)
     images = np.empty((n, size, size, 1))
     labels = np.arange(n, dtype=np.int64) % 2
     for group in lockstep_groups(n):
@@ -279,11 +279,20 @@ def synth_dataset(seed: int, n: int, kind: str = "low_freq_vs_high_freq") -> Lab
         states = derive_states(seed, group, "synth")
         high = labels[rows] == 1
         choice = next_ints(states, 0, np.where(high, len(HIGH_FREQS), len(LOW_FREQS)) - 1)
-        fi, fj = _FREQS[np.where(high, len(LOW_FREQS), 0) + choice].T[:, :, None, None]
+        fi, fj = _FREQS[np.where(high, len(LOW_FREQS), 0) + choice].T[:, :, None, None, None]
         phase = 2.0 * np.pi * next_units(states)
         noise = lockstep_fields(states, (size, size, 1))
-        wave = np.cos(2.0 * np.pi * (fi * yy + fj * xx) / size + phase[:, None, None])
-        images[rows] = clip_unit(0.5 + GRATING_AMPLITUDE * wave[..., None] + BACKGROUND_SIGMA * noise)
+        # 0.5 + amplitude * cos(2 pi (fi y + fj x) / size + phase) + sigma * noise, clipped, in place
+        out = np.add(fi * axis[:, None, None], fj * axis[:, None], out=images[rows])
+        out *= 2.0 * np.pi
+        out /= size
+        out += phase[:, None, None, None]
+        np.cos(out, out=out)
+        out *= GRATING_AMPLITUDE
+        out += 0.5
+        noise *= BACKGROUND_SIGMA
+        out += noise
+        np.clip(out, 0.0, 1.0, out=out)
     return LabeledDataset(images, labels)
 
 

@@ -6,7 +6,7 @@ Streams are cheap to create, independent of each other, and stable across
 processes, batch boundaries and worker counts, which is what makes batched
 and parallel dataset maps byte-reproducible.
 
-Generator: xoshiro256** with SplitMix64 seeding.
+Generator: xoshiro256** (Blackman & Vigna, 2018) with SplitMix64 seeding.
 
     state   four 64-bit words, filled by iterating SplitMix64 starting from
             seed XOR mix(index) XOR fnv1a(tag), where mix is the SplitMix64
@@ -26,25 +26,23 @@ the byte stream:
                  next_int(0, i) for i = n - 1 down to 1
 
 One engine produces every draw, with numpy the only dependency. Streams are
-the columns of a (4, N) uint64 state array. derive_states computes the array
-of N origins that share seed and tag with uint64 array arithmetic, and
-_lockstep_u64 steps all its columns together: each step is a few in-place
-numpy ops over the N columns, only s1 is recorded per step, and the
-scrambler and Box-Muller then run once over the (n, N) block. The draws
-continue on that array: next_units draws each column's uniform field (one
-unit by default), next_ints one integer per column (re-drawing only rejected
-columns; lo == hi draws nothing), lockstep_fields each column's normal field
-and permutations each column's Fisher-Yates order, each advancing the
-columns as the one-stream calls would. Counter-derived streams (Salmon et
-al., SC'11) make the grouping free: which columns step together never
-changes a bit.
+the columns of a (4, N) uint64 state array; derive_states builds it for N
+origins sharing seed and tag. _lockstep_u64 steps all columns together, nine
+numpy calls over N columns per step, each step writing s1 straight into the
+next row of an (n + 1, N) block that the scrambler then runs over once.
+next_units and lockstep_fields draw each column's uniform or normal field
+in slabs of _SLAB_ROWS steps, an even number, so a Box-Muller pair never
+straddles two slabs and a slab's buffers are O(_SLAB_ROWS * N) for any field
+size. next_ints draws one integer per column (re-drawing only rejected
+columns) and permutations one Fisher-Yates order per column; every draw
+advances the columns as the one-stream calls would. Counter-derived streams
+(Salmon et al., SC'11) make the grouping free: which columns step together,
+and where a slab ends, never changes a bit.
 
 RngStream is one such column with its origin record and the pending normal
-an odd-sized normal draw leaves; derive_stream builds it from a one-column
-derive_states, and each method runs the state-array draw on a (4, 1) view
-of its state. The package draws from single streams only for the model
-filters (normal_array); the tests' per-image references draw through the
-other methods, and perfbench's tracer wraps all of them by name.
+an odd-sized normal draw leaves; each method runs the state-array draw on a
+(4, 1) view of its state. The package draws from single streams only for
+the model filters; perfbench's tracer wraps the methods by name.
 """
 
 import math
@@ -62,20 +60,21 @@ _INV_2_53 = 2.0**-53
 _TWO_PI = 2.0 * np.pi
 
 # Columns of the derive_states arrays that batch callers step together, the
-# size of a lockstep_groups group. A lockstep step costs about the same numpy
-# call overhead for any number of columns, so larger groups are faster per
-# field, but a group's fields and images are held at once: 96 columns of
-# 32x32 fields keep the working set under 1 MB per array.
-LOCKSTEP_STREAMS = 96
+# size of a lockstep_groups group. A step costs about the same numpy call
+# overhead for any number of columns up to a few hundred, so wide groups
+# draw fast; at 400 a criterion-8 epoch is one group. The draw's own buffers
+# are per slab (below); a group's images and fields are what the width
+# costs, and callers build those in place.
+LOCKSTEP_STREAMS = 400
+# Steps per slab of a field draw: even, so Box-Muller pairs never straddle
+# two slabs. A slab's block, floats and transpose hold _SLAB_ROWS * N values.
+_SLAB_ROWS = 64
 
 # uint64 shift and multiply operands for the engine and the derivation.
 _U5 = np.uint64(5)
 _U7 = np.uint64(7)
 _U9 = np.uint64(9)
 _U11 = np.uint64(11)
-_U17 = np.uint64(17)
-_U19 = np.uint64(19)
-_U45 = np.uint64(45)
 _U57 = np.uint64(57)
 _U27 = np.uint64(27)
 _U30 = np.uint64(30)
@@ -98,20 +97,27 @@ def _lockstep_u64(states, n: int, scratch=None) -> np.ndarray:
     four state words are states[:, j]. states, a (4, N) uint64 array, is
     advanced in place; scratch, if given, is an (n, N) 8-byte buffer the
     scrambler may overwrite."""
-    _, s1, s2, s3 = states
-    low, high, s1_s0 = states[0:2], states[2:4], states[1::-1]
-    block = np.empty((n, states.shape[1]), dtype=np.uint64)
-    t = np.empty_like(s1)
-    for row in block:
-        row[...] = s1
-        np.left_shift(s1, _U17, out=t)
-        high ^= low  # s2 ^= s0; s3 ^= s1
-        s1_s0 ^= high  # s1 ^= s2; s0 ^= s3
+    # Per-call overhead, not arithmetic, is the cost of a step at these
+    # widths; separate word arrays and array shift counts keep it lowest.
+    s0, s2, s3 = (states[k].copy() for k in (0, 2, 3))
+    block = np.empty((n + 1, states.shape[1]), dtype=np.uint64)
+    block[0] = states[1]
+    t = np.empty_like(s0)
+    k17, k45, k19 = (np.full_like(s0, k) for k in (17, 45, 19))
+    rows = list(block)
+    for s1, next_s1 in zip(rows, rows[1:]):  # s1 is written into the next row
+        np.left_shift(s1, k17, t)
+        s2 ^= s0
+        s3 ^= s1
+        np.bitwise_xor(s1, s2, next_s1)
+        s0 ^= s3
         s2 ^= t
-        np.left_shift(s3, _U45, out=t)
-        s3 >>= _U19
+        np.left_shift(s3, k45, t)
+        s3 >>= k19
         s3 |= t
+    states[0], states[1], states[2], states[3] = s0, rows[n], s2, s3
     # Scramble the recorded s1 history: rotl(s1 * 5, 7) * 9.
+    block = block[:n]
     scratch = np.empty_like(block) if scratch is None else scratch.view(np.uint64)
     block *= _U5
     np.left_shift(block, _U7, out=scratch)
@@ -121,25 +127,28 @@ def _lockstep_u64(states, n: int, scratch=None) -> np.ndarray:
     return block
 
 
-def _lockstep_units(states, n: int) -> np.ndarray:
-    """(n, N) uniforms; column j is unit_array(n) of the stream whose four
-    state words are states[:, j], which advance in place."""
-    u = np.empty((n, states.shape[1]), dtype=np.float64)
-    block = _lockstep_u64(states, n, scratch=u)
-    block >>= _U11
-    u[...] = block
-    u *= _INV_2_53
-    return u
+def _lockstep_field(states, n: int, normal: bool) -> np.ndarray:
+    """(N, n): row j holds the next n uniforms, or normals, of the stream in
+    column j of states, which advance in place; the pending normal of an odd
+    n is dropped. The draw runs in slabs of _SLAB_ROWS steps."""
+    out = np.empty((states.shape[1], n))
+    for start in range(0, n, _SLAB_ROWS):
+        rows = min(_SLAB_ROWS, n - start)
+        u = np.empty((rows + rows % 2 if normal else rows, states.shape[1]))
+        block = _lockstep_u64(states, len(u), scratch=u)
+        block >>= _U11
+        u[...] = block
+        u *= _INV_2_53
+        out[:, start:start + rows] = (_box_muller(u) if normal else u)[:rows].T
+    return out
 
 
 def _box_muller(u: np.ndarray) -> np.ndarray:
     """Normals from uniform pairs along axis 0, written over u: rows 2k and
     2k+1 become z0 and z1 of the pair in rows 2k and 2k+1. The
     transcendental functions run on fresh C-contiguous arrays."""
-    u1 = u[0::2]
-    u2 = u[1::2]
-    r = np.sqrt(-2.0 * np.log(1.0 - u1))
-    theta = _TWO_PI * u2
+    r = np.sqrt(-2.0 * np.log(1.0 - u[0::2]))
+    theta = _TWO_PI * u[1::2]
     u[0::2] = r * np.cos(theta)
     u[1::2] = r * np.sin(theta)
     return u
@@ -193,20 +202,11 @@ class RngStream:
     def normal_array(self, n: int) -> np.ndarray:
         """n normals, bit-identical to n next_normal() calls: a pending
         normal comes first, and an odd count leaves one pending."""
-        out = np.empty(n, dtype=np.float64)
-        k = 0
-        if self._pending_normal is not None and n > 0:
-            out[0] = self._pending_normal
-            self._pending_normal = None
-            k = 1
-        remaining = n - k
-        if remaining <= 0:
-            return out
-        z = _box_muller(_lockstep_units(self._state[:, None], remaining + remaining % 2))[:, 0]
-        out[k:] = z[:remaining]
-        if remaining % 2 == 1:
-            self._pending_normal = float(z[-1])
-        return out
+        pending = [] if self._pending_normal is None else [self._pending_normal]
+        draw = max(0, n - len(pending))
+        z = np.concatenate([pending, _lockstep_field(self._state[:, None], draw + draw % 2, True)[0]])
+        self._pending_normal = float(z[n]) if len(z) > n else None
+        return z[:n]
 
     def normal_field(self, shape) -> np.ndarray:
         """Normal field filled in row-major (C) order."""
@@ -270,7 +270,7 @@ def next_units(states, shape=()) -> np.ndarray:
     filled in row-major order. The default shape () draws one next_unit()
     per column."""
     n = math.prod(int(dim) for dim in shape)
-    return np.ascontiguousarray(_lockstep_units(states, n).T).reshape((states.shape[1],) + tuple(shape))
+    return _lockstep_field(states, n, False).reshape((states.shape[1],) + tuple(shape))
 
 
 def next_ints(states, lo, hi) -> np.ndarray:
@@ -291,12 +291,9 @@ def next_ints(states, lo, hi) -> np.ndarray:
     out = np.zeros(n, dtype=np.uint64)
     todo = np.flatnonzero(top)
     while todo.size:
-        if todo.size == n:
-            x = _lockstep_u64(states, 1)[0]
-        else:
-            sub = states[:, todo]
-            x = _lockstep_u64(sub, 1)[0]
-            states[:, todo] = sub
+        sub = states[:, todo]
+        x = _lockstep_u64(sub, 1)[0]
+        states[:, todo] = sub
         x &= mask[todo]
         ok = x <= top[todo]
         out[todo[ok]] = x[ok]
@@ -337,8 +334,7 @@ def lockstep_fields(states, shape) -> np.ndarray:
     states[:, j] and no pending normal. The states advance as that call
     would; the pending normal an odd-sized field leaves is dropped."""
     n = math.prod(int(dim) for dim in shape)
-    z = _box_muller(_lockstep_units(states, n + n % 2))
-    return np.ascontiguousarray(z[:n].T).reshape((states.shape[1],) + tuple(shape))
+    return _lockstep_field(states, n, True).reshape((states.shape[1],) + tuple(shape))
 
 
 def lockstep_groups(n: int, multiple: int = 1) -> list:

@@ -490,3 +490,29 @@ def test_apply_augment_none_copies():
     out = run_pipeline(img, AugmentSpec(kind="none"), derive_stream(0, 0, "n"))
     assert np.array_equal(out, img)
     assert not np.shares_memory(out, img)
+
+
+@pytest.mark.parametrize("pad", [0, 4])
+@pytest.mark.parametrize("order", ORDERS)
+@pytest.mark.parametrize("kind", KINDS)
+def test_pipeline_batch_leaves_its_input_unchanged(kind, order, pad):
+    # The kernels work in place on arrays the pipeline owns; the input is not one.
+    images = np.random.default_rng(4).random((6, 9, 7, 3))
+    before = images.copy()
+    spec = AugmentSpec(kind=kind, sigma_max=1.0, patch_size=4, sample_up_to=True, fill=(0.5, 0.5, 0.5),
+                       order=order, pad=pad)
+    out = run_pipeline_batch(images, spec, 2, range(6), "immutable")
+    assert np.array_equal(images, before)
+    assert not np.shares_memory(out, images)
+
+
+@pytest.mark.parametrize("masked", [False, True])
+def test_gaussian_batch_leaves_its_inputs_unchanged(masked):
+    rng = np.random.default_rng(5)
+    images, noise = rng.random((4, 6, 6, 2)), rng.standard_normal((4, 6, 6, 2))
+    masks = rect_masks([1, 2, 3, 4], [4, 3, 2, 1], 6, 6, 3) if masked else None
+    inputs = [images, noise] + ([masks] if masked else [])
+    before = [a.copy() for a in inputs]
+    gaussian_batch(images, [0.5, 1.0, 1.5, 2.0], noise, masks)
+    for a, b in zip(inputs, before):
+        assert np.array_equal(a, b)

@@ -143,7 +143,7 @@ def test_gaussian_noise_shares_augment_kernel():
 @pytest.mark.parametrize("n", [1, 7, 130])
 @pytest.mark.parametrize("kind", CORRUPTION_KINDS)
 def test_batch_matches_batches_of_one(kind, n):
-    # 5x3x3 fields are odd-sized, and 130 images span two lockstep groups.
+    # 5x3x3 fields are odd-sized; tests/test_group_width.py covers group boundaries.
     images = np.random.default_rng(n).random((n, 5, 3, 3))
     indices = np.arange(n) * 7 - 3
     spec = CorruptionSpec(kind=kind, severity=5)
@@ -155,6 +155,15 @@ def test_batch_matches_batches_of_one(kind, n):
             stream = derive_stream(9, int(indices[j]), "batch")
             want = scalar_noise(images[j], kind, DEFAULT_SEVERITY[kind][4], stream)
             assert np.array_equal(one, want)
+
+
+@pytest.mark.parametrize("kind", CORRUPTION_KINDS)
+def test_corrupt_leaves_its_input_unchanged(kind):
+    images = np.random.default_rng(11).random((5, 9, 7, 3))
+    before = images.copy()
+    out = corrupt(images, CorruptionSpec(kind, severity=5), 3, tag="immutable")
+    assert np.array_equal(images, before)
+    assert not np.shares_memory(out, images)
 
 
 @pytest.mark.parametrize("kind", NOISE_KINDS)

@@ -3,16 +3,18 @@
 Each case builds one output (a trained checkpoint, a stack of pipeline
 outputs, a dataset, the sigma suite, a CLI output tree) and compares its
 digest with the value recorded from the scalar RNG engine, so an engine or
-batching change that moves a single bit fails here. The cases cover more
-images than one lockstep group (train on 300 examples, synth and suite on
-150 and 140), odd batch sizes, odd field sizes (a pending normal between
-draws), both pipeline orders and pad 0 and 4. The feature-layer cases
-(heatmaps, predict labels, the 3-channel flip-only checkpoint) cover more
-images than two feature chunks and batches that do not divide the dataset.
-The 3-channel patch checkpoint and the CLI gaussian_noise tree cover uneven
-lockstep groups, crop rejection and a pending normal on the batch paths.
-The CLI corrupt trees (every other kind at severities 1 and 5) and the
-highpass tree run on 101 images of 1 and 3 channels each.
+batching change that moves a single bit fails here. The cases cover odd
+batch sizes, odd field sizes (a pending normal between draws), both
+pipeline orders and pad 0 and 4. Most were recorded with 96-wide lockstep
+groups, which the 101- to 400-image cases crossed; at the current width
+tests/test_group_width.py checks group boundaries instead. The
+feature-layer cases (heatmaps, predict labels, the 3-channel flip-only
+checkpoint) cover more images than two feature chunks and batches that do
+not divide the dataset. The 3-channel patch checkpoint and the CLI
+gaussian_noise tree cover uneven batches, crop rejection and a pending
+normal on the batch paths. The CLI corrupt trees (every other kind at
+severities 1 and 5) and the highpass tree run on 101 images of 1 and 3
+channels each.
 
 The digests were recorded with numpy's bundled OpenBLAS, whose DYNAMIC_ARCH
 build picks its kernels for the CPU at run time, so a failure message names
@@ -117,8 +119,8 @@ CRITERION_8_PATCH_DIGEST = "48c5d1b9a90f5064cb0749a0339e6c75bc78d3330472751faee3
 
 def criterion_8_patch_model():
     """Two epochs of the criterion-8 patch arm on its 400-image dataset and
-    48-filter model, in batches of 16: the run crosses lockstep group
-    boundaries unless one group holds all 400 examples."""
+    48-filter model, in batches of 16, recorded with 96-wide lockstep groups
+    (four group boundaries per epoch)."""
     spec = AugmentSpec(kind="patch_gaussian", patch_size=32, sigma_max=2.5, sample_up_to=True)
     cfg = TrainConfig(epochs=2, learning_rate=0.2, batch_size=16, seed=1, augment=spec)
     return train(init_toy_model(1, 48, 1, 4, 2), synth_dataset(1, 400), cfg)
@@ -210,8 +212,7 @@ CLI_GAUSSIAN_NOISE_DIGEST = "9f5f4dee831f74433d5e3c0e94fae059f5a126875ba18240d68
 
 def cli_gaussian_noise_digest(tmp_path) -> str:
     """corrupt --kind gaussian_noise on 101 random 9x7x3 images with 2
-    workers: two lockstep groups, the second uneven, and a 189-value field
-    that leaves a pending normal."""
+    workers: a 189-value field that leaves a pending normal."""
     data, out = tmp_path / "data", tmp_path / "noisy"
     write_dataset(LabeledDataset(np.random.default_rng(22).random((101, 9, 7, 3)), np.arange(101) % 2), data)
     assert cli_main(["corrupt", "--input", str(data), "--output", str(out), "--seed", "23",
@@ -237,7 +238,7 @@ PREDICT_COLOR_DIGEST = "57e73c9a28ade3903d3d0830812cbdc2497e0eae99361fa52deb5cf9
 
 def flip_only_color_model():
     """The none arm (flips only) on 110 3-channel images in batches of 7, so
-    the last batch of each epoch and of each lockstep group is uneven."""
+    the last batch of each epoch is uneven."""
     cfg = TrainConfig(epochs=3, learning_rate=0.5, batch_size=7, seed=15, augment=AugmentSpec())
     return train(init_toy_model(15, 5, 3, 3, 3), color_dataset(15, 110), cfg)
 
@@ -247,8 +248,8 @@ PATCH_COLOR_DIGEST = "a7b85b7e0b68652d3eab5910ab79a7c3a9c6917a41aa2c981f0e9cb8c5
 
 def patch_color_model():
     """The patch arm with sizes sampled up to 6 on 130 3-channel images in
-    batches of 7 with pad 4: uneven batches and lockstep groups, and crop
-    offsets over span 9, which rejects almost half its draws."""
+    batches of 7 with pad 4: uneven batches, and crop offsets over span 9,
+    which rejects almost half its draws."""
     spec = AugmentSpec(kind="patch_gaussian", sigma_max=1.5, patch_size=6, sample_up_to=True, pad=4)
     cfg = TrainConfig(epochs=2, learning_rate=0.5, batch_size=7, seed=20, augment=spec)
     return train(init_toy_model(20, 5, 3, 3, 3), color_dataset(20, 130), cfg)
@@ -294,7 +295,7 @@ def test_heatmap_csv_digest(probe):
 
 def cli_tree_digest(tmp_path, *argv) -> str:
     """Run one CLI command on 101 random 9x7 images with 1 and 3 channels
-    (two lockstep groups, the second uneven) and digest both output trees."""
+    and digest both output trees."""
     out = tmp_path / "out"
     for c in (1, 3):
         data = tmp_path / f"data{c}"

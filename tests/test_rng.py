@@ -142,12 +142,38 @@ def test_lockstep_fields_match_scalar_fields(count):
         assert np.array_equal(states, reference_states(refs))
 
 
+@pytest.mark.parametrize("kind", ["normal", "unit"])
+@pytest.mark.parametrize("size", [1, rng._SLAB_ROWS - 1, rng._SLAB_ROWS, rng._SLAB_ROWS + 1, 189])
+@pytest.mark.parametrize("count", [1, rng._SLAB_ROWS + 6])
+def test_fields_across_slab_boundaries(kind, size, count):
+    """Fields of one, fewer, exactly and one more than a slab of steps, and
+    of 189 values (three slabs, the last odd, so the normal field's pending
+    normal is dropped), for one column and for more columns than a slab has
+    rows; two fields in a row, so the second starts where the first left
+    the states."""
+    states = derive_states(29, range(count), "slab")
+    refs = [rng_reference.Reference(29, j, "slab") for j in range(count)]
+    for _ in range(2):
+        if kind == "normal":
+            got = lockstep_fields(states, (size,))
+            want = np.array([[ref.normal() for _ in range(size)] for ref in refs])
+            for ref in refs:
+                ref.pending = None
+        else:
+            got = next_units(states, (size,))
+            want = np.array([[ref.unit() for _ in range(size)] for ref in refs])
+        assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
+        assert np.array_equal(states, reference_states(refs))
+
+
 def test_lockstep_groups_cover_whole_batches():
-    for n, multiple in ((0, 1), (5, 1), (300, 16), (300, 7), (300, 500)):
-        groups = lockstep_groups(n, multiple)
-        assert [i for g in groups for i in g] == list(range(n))
+    n = 3 * LOCKSTEP_STREAMS + 5
+    for count, multiple in ((0, 1), (5, 1), (n, 1), (n, 7), (n, 16), (n, LOCKSTEP_STREAMS + 100)):
+        groups = lockstep_groups(count, multiple)
+        assert [i for g in groups for i in g] == list(range(count))
         size = multiple * max(1, LOCKSTEP_STREAMS // multiple)
         assert all(len(g) == size for g in groups[:-1])
+        assert len(groups) == -(-count // size)  # several groups for n, so the check above has cases
 
 
 def test_int_degenerate_range_consumes_nothing():
