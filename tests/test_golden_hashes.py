@@ -10,7 +10,9 @@ groups, which the 101- to 400-image cases crossed; at the current width
 tests/test_group_width.py checks group boundaries instead. The
 feature-layer cases (heatmaps, predict labels, the 3-channel flip-only
 checkpoint) cover more images than two feature chunks and batches that do
-not divide the dataset. The 3-channel patch checkpoint and the CLI
+not divide the dataset. The uneven-band cases pool on a 3x3 grid whose
+row bands differ in height (10/11/11 rows on 32x32, 4/4/5 on 13x11). The
+3-channel patch checkpoint and the CLI
 gaussian_noise tree cover uneven batches, crop rejection and a pending
 normal on the batch paths. The CLI corrupt trees (every other kind at
 severities 1 and 5) and the highpass tree run on 101 images of 1 and 3
@@ -34,7 +36,7 @@ from robustaug.cli import write_dataset
 from robustaug.corrupt import gaussian_eval_suite
 from robustaug.fourier import format_heatmap_csv, half_plane_frequencies, sensitivity_heatmap
 from robustaug.images import LabeledDataset, channel_mean
-from robustaug.model import TrainConfig, encode_model, init_toy_model, predict, synth_dataset, train
+from robustaug.model import TrainConfig, encode_model, first_layer, init_toy_model, predict, synth_dataset, train
 from robustaug.rng import derive_stream
 
 
@@ -332,3 +334,32 @@ CLI_HIGHPASS_DIGEST = "a2dd315b9dd7e6883fd4918889f163358afa6b769b198f07c5f67eb0b
 
 def test_cli_highpass_tree_digest(tmp_path):
     assert cli_tree_digest(tmp_path, "highpass", "--radius", "2.5") == CLI_HIGHPASS_DIGEST, blas_environment()
+
+
+UNEVEN_BAND_DIGESTS = {
+    "synth_32x32_flip_only": "21f44d58113a4975122d0f6018facf74ce6d5422b8db36221f5795b72add1c1d",
+    "color_13x11_patch": "c75939ee03812c1c2b5b3aff51f557f7d42785ed0344b6487ce0a85dd8626597",
+    "color_13x11_first_layer": "ef3e35bec3a574032776e3ec4575935e5e1cd19dba277d5c930d627dc788e051",
+}
+
+
+def uneven_band_digest(name: str) -> str:
+    """A pool grid of 3 on images whose height it does not divide: the none
+    arm on 40 synth 32x32 images (a feature cache of three chunks), the
+    patch arm on 37 random 13x11x3 images in uneven batches of 7, and the
+    first_layer activations of 37 random 13x11x3 images."""
+    if name == "synth_32x32_flip_only":
+        cfg = TrainConfig(epochs=3, learning_rate=0.5, batch_size=16, seed=25, augment=AugmentSpec())
+        return hashlib.sha256(encode_model(train(init_toy_model(25, 6, 1, 3, 2), synth_dataset(25, 40), cfg))).hexdigest()
+    images = np.random.default_rng(26).random((37, 13, 11, 3))
+    if name == "color_13x11_patch":
+        spec = AugmentSpec(kind="patch_gaussian", sigma_max=1.5, patch_size=5, sample_up_to=True)
+        cfg = TrainConfig(epochs=2, learning_rate=0.5, batch_size=7, seed=26, augment=spec)
+        m = train(init_toy_model(26, 5, 3, 3, 3), LabeledDataset(images, np.arange(37) % 3), cfg)
+        return hashlib.sha256(encode_model(m)).hexdigest()
+    return _sha(first_layer(init_toy_model(27, 7, 3, 3, 2), images))
+
+
+@pytest.mark.parametrize("name", sorted(UNEVEN_BAND_DIGESTS))
+def test_uneven_band_digest(name):
+    assert uneven_band_digest(name) == UNEVEN_BAND_DIGESTS[name], blas_environment()
