@@ -26,6 +26,8 @@ from robustaug.model import (
 )
 from robustaug.parallel import indexed_map
 
+import model_reference as reference
+
 
 def conv_relu_oracle(images, filters):
     """Nested-loop 3x3 correlation with clamped indices, then ReLU."""
@@ -133,6 +135,30 @@ def test_chunked_features_match_one_image_at_a_time(n, channels, h, w, g):
     assert np.array_equal(_features(m, images), want)
 
 
+# (h, w) per grid: one size that the grid divides and one or two it does not
+# divide in height, width or both; 32x32 at g = 3 has bands of 10, 11 and 11
+# rows.  The models have 5 filters: with one, numpy's matmul takes the GEMV
+# path, whose results here depend on the number of rows.
+REFERENCE_SIZES = {
+    1: [(8, 8), (5, 7)],
+    2: [(8, 8), (7, 9)],
+    3: [(12, 12), (32, 32), (13, 11)],
+    4: [(32, 32), (10, 12), (13, 13)],
+    5: [(20, 15), (17, 23)],
+}
+
+
+@pytest.mark.parametrize("g,h,w", [(g, h, w) for g, sizes in REFERENCE_SIZES.items() for h, w in sizes])
+@pytest.mark.parametrize("channels", [1, 3])
+def test_band_kernel_bit_equal_to_reference(g, h, w, channels):
+    m = init_toy_model(g * h + w, k=5, c=channels, g=g, classes=2)
+    rng = np.random.default_rng(g * 1000 + h * w + channels)
+    for n in (1, 15, 16, 17, 37):
+        for images in (rng.random((n, h, w, channels)), rng.normal(size=(n, h, w, channels))):
+            assert np.array_equal(_features(m, images), reference.features(m.filters, g, images))
+            assert np.array_equal(first_layer(m, images), reference.conv_relu(m.filters, images))
+
+
 def test_forward_shape_checks():
     m = init_toy_model(0, k=2, c=1, g=2, classes=2)
     with pytest.raises(ValueError, match="shape mismatch"):
@@ -140,8 +166,9 @@ def test_forward_shape_checks():
     with pytest.raises(ValueError, match="shape mismatch"):
         predict(m, np.zeros((8, 8, 1)))
     wide = ToyModel(m.filters, np.zeros((2 * 16 * 16 + 1, 2)), pool_grid=16)
-    with pytest.raises(ValueError, match="pool grid"):
-        predict(wide, np.zeros((1, 8, 8, 1)))
+    for forward in (predict, first_layer):
+        with pytest.raises(ValueError, match="pool grid"):
+            forward(wide, np.zeros((1, 8, 8, 1)))
 
 
 def test_model_validation():
