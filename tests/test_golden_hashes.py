@@ -345,7 +345,7 @@ UNEVEN_BAND_DIGESTS = {
 
 def uneven_band_digest(name: str) -> str:
     """A pool grid of 3 on images whose height it does not divide: the none
-    arm on 40 synth 32x32 images (a feature cache of three chunks), the
+    arm on 40 synth 32x32 images (a feature cache over several chunks), the
     patch arm on 37 random 13x11x3 images in uneven batches of 7, and the
     first_layer activations of 37 random 13x11x3 images."""
     if name == "synth_32x32_flip_only":
