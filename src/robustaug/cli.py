@@ -152,10 +152,8 @@ def parse_config(text: str) -> dict:
 def _cast(key: str, raw: str, cast):
     if cast is bool:
         low = raw.lower()
-        if low in _TRUE:
-            return True
-        if low in _FALSE:
-            return False
+        if low in _TRUE | _FALSE:
+            return low in _TRUE
         raise ValueError(f"bad value for {key}: {raw!r}")
     try:
         return cast(raw)
@@ -256,7 +254,10 @@ def _read_error_map(path) -> dict:
     out = {}
     for ln in lines[1:]:
         kind, severity, error = ln.split(",")
-        out[(kind.strip(), int(severity))] = float(error)
+        key = (kind.strip(), int(severity))
+        if key in out:
+            raise ValueError(f"repeated {key[0]},{key[1]} row in {path}")
+        out[key] = float(error)
     return out
 
 

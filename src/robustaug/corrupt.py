@@ -118,7 +118,9 @@ def parse_severity_table(text: str) -> dict:
         if len(parts) != 3:
             raise ValueError(f"severity table line {lineno}: expected 'kind level parameter'")
         kind, level, param = parts[0], int(parts[1]), float(parts[2])
-        rows.setdefault(kind, {})[level] = param
+        if level in rows.setdefault(kind, {}):
+            raise ValueError(f"severity table line {lineno}: repeated {kind} level {level}")
+        rows[kind][level] = param
     table = {}
     for kind, levels in rows.items():
         if sorted(levels) != [1, 2, 3, 4, 5]:

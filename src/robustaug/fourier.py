@@ -253,15 +253,11 @@ def format_heatmap_csv(hm: FourierHeatmap) -> str:
 
     first_layer heatmaps carry a fourth column with the un-normalized mean
     activation change."""
-    lines = [f"# probe={hm.probe} v={hm.norm!r} seed={hm.seed}"]
-    if hm.absolute is None:
-        lines.append("i,j,value")
-        for (i, j) in sorted(hm.grid):
-            lines.append(f"{i},{j},{hm.grid[(i, j)]!r}")
-    else:
-        lines.append("i,j,value,absolute")
-        for (i, j) in sorted(hm.grid):
-            lines.append(f"{i},{j},{hm.grid[(i, j)]!r},{hm.absolute[(i, j)]!r}")
+    lines = [f"# probe={hm.probe} v={hm.norm!r} seed={hm.seed}",
+             "i,j,value" if hm.absolute is None else "i,j,value,absolute"]
+    for f in sorted(hm.grid):
+        extra = "" if hm.absolute is None else f",{hm.absolute[f]!r}"
+        lines.append(f"{f[0]},{f[1]},{hm.grid[f]!r}{extra}")
     return "\n".join(lines) + "\n"
 
 

@@ -187,6 +187,8 @@ def first_layer(m: ToyModel, images) -> np.ndarray:
 
 
 def evaluate(m: ToyModel, d: LabeledDataset) -> float:
+    if len(d) == 0:
+        raise ValueError("empty dataset")
     return float(np.count_nonzero(predict(m, d.images) == d.labels) / len(d))
 
 
@@ -231,14 +233,14 @@ def train(m: ToyModel, d: LabeledDataset, cfg: TrainConfig) -> ToyModel:
     augmentation pipeline with its own (seed, dataset index, "ep<epoch>")
     stream before its features are computed, so augmentation draws depend
     only on the example and epoch, never on batch composition.  The permuted
-    order is augmented in groups of whole batches (lockstep_groups), whose
-    noise fields are drawn together; each batch then convolves its own
-    images from the group and takes its step, so no features array spans
-    the group.
+    order runs in groups of whole batches (lockstep_groups): a group's noise
+    fields are drawn together, its features come from one _features call,
+    and each of its batches steps the head on its rows of that array, which
+    is freed before the next group is augmented.
 
     Under a flip_only pipeline (kind "none", pad 0) every example is either
     itself or its mirror, so the features of both variants are computed once
-    and each batch reads its rows from that cache of
+    and each group reads its rows from that cache of
     2 * n * (k * pool_grid**2 + 1) * 8 bytes, by the flip decision, the first
     draw of each example's "ep<epoch>/flipcrop" stream. Both give the same
     rows bit for bit.
@@ -250,21 +252,20 @@ def train(m: ToyModel, d: LabeledDataset, cfg: TrainConfig) -> ToyModel:
     head = m.head.copy()
     cache = None
     if flip_only(cfg.augment):
-        cache = np.stack([_features(m, d.images), _features(m, mirror(d.images))])
+        cache = np.concatenate([_features(m, d.images), _features(m, mirror(d.images))])
     shuffles = (order for epochs in lockstep_groups(cfg.epochs)
                 for order in permutations(derive_states(cfg.seed, epochs, "shuffle"), n))
     for epoch, order in enumerate(shuffles):
         tag = f"ep{epoch}"
-        if cache is not None:
-            flips = draw_flips(derive_states(cfg.seed, order, child_tag_of(tag, "flipcrop"))).astype(np.intp)
         for group in lockstep_groups(n, cfg.batch_size):
             idx = order[group.start:group.stop]
             if cache is None:
-                images = run_pipeline_batch(d.images[idx], cfg.augment, cfg.seed, idx, tag)
+                feats = _features(m, run_pipeline_batch(d.images[idx], cfg.augment, cfg.seed, idx, tag))
+            else:  # cache row i + n is example i mirrored
+                feats = cache[idx + n * draw_flips(derive_states(cfg.seed, idx, child_tag_of(tag, "flipcrop")))]
             for b in (slice(start, start + cfg.batch_size) for start in range(0, len(idx), cfg.batch_size)):
-                feats = _features(m, images[b]) if cache is None else cache[flips[group.start:][b], idx[b]]
-                head -= cfg.learning_rate * _ce_gradient(feats, head, labels[idx[b]])
-            images = None  # freed before the next group is augmented, which lowers peak memory
+                head -= cfg.learning_rate * _ce_gradient(feats[b], head, labels[idx[b]])
+            feats = None  # freed before the next group is augmented, which lowers peak memory
     return ToyModel(filters=m.filters, head=head, pool_grid=m.pool_grid)
 
 

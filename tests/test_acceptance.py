@@ -158,6 +158,16 @@ def test_error_normalization_arithmetic():
                             {k: 3.7 * v for k, v in errs.items()})
     scale_ok = all(abs(ce_a[k] - ce_b[k]) < 1e-12 for k in ce_a)
 
+    # Unequal per-severity ratios, where a ratio of sums (Hendrycks &
+    # Dietterich) and a mean of ratios disagree: CE 1/2 (mean of ratios
+    # 0.53) and 1 (mean of ratios 1.37), so mCE 3/4 and 1 without noise.
+    base = dict(zip([("gaussian_noise", s) for s in range(1, 6)], (0.2, 0.4, 0.5, 0.5, 0.4)))
+    base.update(zip([("contrast", s) for s in range(1, 6)], (0.1, 0.2, 0.3, 0.4, 0.5)))
+    unequal = dict(zip(base, (0.1, 0.1, 0.1, 0.1, 0.6) + (0.3,) * 5))
+    ce_u = corruption_error(unequal, base)
+    sums_ok = (abs(ce_u["gaussian_noise"] - 0.5) < 1e-12 and abs(ce_u["contrast"] - 1.0) < 1e-12
+               and abs(mce(ce_u) - 0.75) < 1e-12 and abs(mce(ce_u, exclude_noise=True) - 1.0) < 1e-12)
+
     def result(clean, per_sigma):
         return EvalResult(clean_accuracy=clean,
                           per_sigma_accuracy=dict(zip(SIGMA_SUITE, per_sigma)))
@@ -170,7 +180,7 @@ def test_error_normalization_arithmetic():
                and abs(worse - (-0.06)) < 1e-12
                and abs(better - 0.01) < 1e-12)
 
-    _report(4, "metric exactness", exact and scale_ok and hand_ok)
+    _report(4, "metric exactness", exact and scale_ok and sums_ok and hand_ok)
 
 
 def test_threshold_selection_with_fallback():

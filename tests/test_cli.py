@@ -137,6 +137,17 @@ def test_mce_self_baseline_prints_unity(tmp_path, capsys):
     assert got["ce"] == {"brightness": 1.0, "gaussian_noise": 1.0}
 
 
+def test_mce_rejects_a_repeated_error_row(tmp_path, capsys):
+    rows = ["kind,severity,error"] + [f"gaussian_noise,{sev},0.5" for sev in range(1, 6)]
+    good = tmp_path / "good.csv"
+    good.write_text("\n".join(rows) + "\n")
+    repeated = tmp_path / "repeated.csv"
+    repeated.write_text("\n".join(rows + ["gaussian_noise,1,0.1"]) + "\n")
+    for model_csv, baseline_csv in ((repeated, good), (good, repeated)):
+        assert run("mce", "--input", model_csv, "--baseline", baseline_csv) == 1
+        assert "repeated gaussian_noise,1 row" in capsys.readouterr().err
+
+
 def test_select_reproduces_hand_winner(tmp_path, capsys):
     header = "label,clean_acc," + ",".join(f"acc_{s}" for s in SIGMA_SUITE)
     rows = [

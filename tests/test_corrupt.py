@@ -275,6 +275,14 @@ def test_severity_table_validation():
         parse_severity_table("brightness 1\n")
 
 
+def test_severity_table_rejects_a_repeated_level():
+    text = format_severity_table(DEFAULT_SEVERITY) + "gaussian_noise 1 0.15\ngaussian_noise 1 0.1\n"
+    with pytest.raises(ValueError, match="repeated gaussian_noise level 1"):
+        parse_severity_table(text)
+    with pytest.raises(ValueError, match="line 2: repeated brightness level 1"):
+        parse_severity_table("brightness 1 0.05\nbrightness 1 0.05\n")
+
+
 def test_resolve_param_precedence():
     assert resolve_param(CorruptionSpec(kind="brightness", severity=3)) == 0.15
     assert resolve_param(CorruptionSpec(kind="brightness", param=0.42)) == 0.42

@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from robustaug import model as model_module, rng as rng_module
 from robustaug.augment import AugmentSpec
 from robustaug.fourier import centered_distances, dft2
 from robustaug.images import LabeledDataset
@@ -260,10 +261,13 @@ def test_train_bit_reproducible():
     assert np.array_equal(a.head, b.head)
 
 
-def test_flip_only_feature_cache_matches_per_batch_features():
+@pytest.mark.parametrize("width", [16, rng_module.LOCKSTEP_STREAMS])
+def test_flip_only_feature_cache_matches_group_features(monkeypatch, width):
     """Zero-sigma Gaussian noise leaves every pixel as it is but is not
-    flip_only, so its head comes from per-batch features of the same images
-    that the none arm reads from its feature cache."""
+    flip_only, so its head comes from each lockstep group's features of the
+    same images that the none arm reads from its feature cache. At width 16
+    the 40 images make three groups of up to 14, at the package's width one."""
+    monkeypatch.setattr(rng_module, "LOCKSTEP_STREAMS", width)
     d = LabeledDataset(np.random.default_rng(5).random((40, 9, 9, 3)), np.arange(40) % 2)
     m = init_toy_model(4, k=3, c=3, g=2, classes=2)
     heads = []
@@ -271,6 +275,30 @@ def test_flip_only_feature_cache_matches_per_batch_features():
         cfg = TrainConfig(epochs=3, learning_rate=0.5, batch_size=7, seed=2, augment=spec)
         heads.append(train(m, d, cfg).head)
     assert np.array_equal(heads[0], heads[1])
+
+
+def test_train_computes_features_once_per_lockstep_group(monkeypatch):
+    """A noise arm calls _features once per epoch and lockstep group, and
+    its batches step on rows of that array; the flip-only arm calls it only
+    for the two variants of its cache."""
+    monkeypatch.setattr(rng_module, "LOCKSTEP_STREAMS", 16)
+    calls = []
+
+    def counted(m, images):
+        calls.append(len(images))
+        return _features(m, images)
+
+    monkeypatch.setattr(model_module, "_features", counted)
+    d = LabeledDataset(np.random.default_rng(8).random((130, 8, 8, 1)), np.arange(130) % 2)
+    m = init_toy_model(3, k=2, c=1, g=2, classes=2)
+    groups = [len(group) for group in rng_module.lockstep_groups(130, 7)]
+    assert groups == [14] * 9 + [4]
+    patch = AugmentSpec(kind="patch_gaussian", sigma_max=1.0, patch_size=4)
+    train(m, d, TrainConfig(epochs=3, batch_size=7, seed=1, augment=patch))
+    assert calls == groups * 3
+    calls.clear()
+    train(m, d, TrainConfig(epochs=3, batch_size=7, seed=1))
+    assert calls == [130, 130]
 
 
 def test_train_augmentation_changes_outcome():
@@ -313,6 +341,13 @@ def test_evaluate_arithmetic():
     m = init_toy_model(0, k=2, c=1, g=2, classes=2)  # zero head: all class 0
     d = separable_dataset(10)
     assert evaluate(m, d) == 0.5
+
+
+def test_evaluate_rejects_empty_dataset():
+    m = init_toy_model(0, k=2, c=1, g=2, classes=2)
+    empty = LabeledDataset(np.zeros((0, 8, 8, 1)), np.zeros(0, dtype=np.int64))
+    with pytest.raises(ValueError, match="empty dataset"):
+        evaluate(m, empty)
 
 
 def test_synth_balanced_and_in_range():
