@@ -13,8 +13,9 @@ Commands:
 
 Datasets are either a CIFAR-style binary batch file or a directory of
 <index>.imgt tensors with a labels.txt.  A --config file holds flat
-key=value lines (keys are the long flag names; dashes and underscores are
-interchangeable); explicit flags override it.  Every output file is
+key=value lines: each key is one of the command's long options (dashes or
+underscores), an unknown key is an error, each value is checked as its flag
+would be, and explicit flags override the file.  Every output file is
 written to a temporary name and renamed into place, and every command is
 deterministic given its seed and inputs.  Every command accepts --workers,
 but only fourier uses it, to spread heatmap frequencies over threads; the
@@ -66,8 +67,8 @@ from .metrics import (
 from .model import TrainConfig, decode_model, encode_model, evaluate, init_toy_model, synth_dataset, train
 from .rng import lockstep_groups
 
-_TRUE = {"1", "true", "yes", "on"}
-_FALSE = {"0", "false", "no", "off"}
+_BOOL = {"1": True, "true": True, "yes": True, "on": True,
+         "0": False, "false": False, "no": False, "off": False}
 
 
 # ---------------- files ----------------
@@ -97,7 +98,10 @@ def load_dataset(path) -> LabeledDataset:
             raise ValueError(f"{p}: empty dataset, labels.txt lists no images")
         images = np.stack([decode_tensor((p / _image_name(i)).read_bytes()) for i in range(len(labels))])
         return LabeledDataset(images, labels)
-    return read_cifar10_batch(p.read_bytes())
+    d = read_cifar10_batch(p.read_bytes())
+    if len(d) == 0:
+        raise ValueError(f"{p}: empty dataset")
+    return d
 
 
 def write_dataset(d: LabeledDataset, out_dir) -> None:
@@ -116,21 +120,17 @@ def write_dataset(d: LabeledDataset, out_dir) -> None:
 
 
 def _write_report(args, report: dict) -> None:
-    out = _opt(args, "output", str)
-    if out is not None:
-        _atomic_write(out, (json.dumps(report, sort_keys=True, indent=2) + "\n").encode("ascii"))
+    if args.output is not None:
+        _atomic_write(args.output, (json.dumps(report, sort_keys=True, indent=2) + "\n").encode("ascii"))
 
 
 def _contact_sheet(images: np.ndarray) -> np.ndarray:
-    n, h, w, c = images.shape
+    n, h, w, _ = images.shape
     cols = math.ceil(math.sqrt(n))
     rows = (n + cols - 1) // cols
-    sheet = np.zeros((rows * h, cols * w, 3))
-    for i in range(n):
-        r, col = divmod(i, cols)
-        tile = images[i] if c == 3 else np.repeat(images[i], 3, axis=2)
-        sheet[r * h:(r + 1) * h, col * w:(col + 1) * w] = tile
-    return sheet
+    tiles = np.zeros((rows * cols, h, w, 3))
+    tiles[:n] = images  # a 1-channel image broadcasts to gray RGB
+    return tiles.reshape(rows, cols, h, w, 3).transpose(0, 2, 1, 3, 4).reshape(rows * h, cols * w, 3)
 
 
 # ---------------- config / option resolution ----------------
@@ -149,124 +149,132 @@ def parse_config(text: str) -> dict:
     return cfg
 
 
-def _cast(key: str, raw: str, cast):
-    if cast is bool:
-        low = raw.lower()
-        if low in _TRUE | _FALSE:
-            return low in _TRUE
-        raise ValueError(f"bad value for {key}: {raw!r}")
-    try:
-        return cast(raw)
-    except ValueError:
-        raise ValueError(f"bad value for {key}: {raw!r}") from None
+def _config_defaults(command: argparse.ArgumentParser, path) -> dict:
+    """The --config file's values, each parsed by the action of the command
+    option it names: its type and choices, or _BOOL for an on/off flag."""
+    actions = {a.dest: a for a in command._actions if a.dest not in ("help", "config")}
+    defaults = {}
+    for key, raw in parse_config(Path(path).read_text()).items():
+        action = actions.get(key)
+        if action is None:
+            raise ValueError(f"{path}: {key} is not an option of {command.prog}")
+        try:
+            if isinstance(action, argparse.BooleanOptionalAction):
+                defaults[key] = _BOOL[raw.lower()]
+            else:
+                defaults[key] = command._get_value(action, raw)
+                command._check_value(action, defaults[key])
+        except (KeyError, argparse.ArgumentError):
+            raise ValueError(f"{path}: bad value for {key}: {raw!r}") from None
+    return defaults
 
 
-def _opt(args, key: str, cast, default=None):
-    """Flag value, else config-file value, else default."""
-    val = getattr(args, key, None)
-    if val is None:
-        raw = args.run_config.get(key)
-        if raw is not None:
-            val = _cast(key, raw, cast)
-    return default if val is None else val
-
-
-def _req(args, key: str, cast):
-    val = _opt(args, key, cast)
+def _req(args, key: str):
+    val = getattr(args, key)
     if val is None:
         raise ValueError(f"missing required option: --{key.replace('_', '-')}")
     return val
 
 
 def _augment_spec(args, d: LabeledDataset) -> AugmentSpec:
-    kind = _opt(args, "kind", str, "none")
-    fill = tuple(channel_mean(d)) if kind == "cutout" else ()
     return AugmentSpec(
-        kind=kind,
-        sigma_max=_opt(args, "sigma_max", float, 0.0),
-        patch_size=_opt(args, "patch_size", int, 1),
-        sample_up_to=_opt(args, "sample_up_to", bool, False),
-        fill=fill,
-        order=_opt(args, "order", str, "augment_then_flipcrop"),
-        pad=_opt(args, "pad", int, 0),
+        kind=args.kind,
+        sigma_max=args.sigma_max,
+        patch_size=args.patch_size,
+        sample_up_to=args.sample_up_to,
+        fill=tuple(channel_mean(d)) if args.kind == "cutout" else (),
+        order=args.order,
+        pad=args.pad,
     )
 
 
 # ---------------- commands ----------------
 
 def cmd_augment(args) -> int:
-    d = load_dataset(_req(args, "input", str))
-    seed = _opt(args, "seed", int, 0)
+    d = load_dataset(_req(args, "input"))
     spec = _augment_spec(args, d)
-    images = np.concatenate([run_pipeline_batch(d.images[rows.start:rows.stop], spec, seed, rows, "augment")
+    images = np.concatenate([run_pipeline_batch(d.images[rows.start:rows.stop], spec, args.seed, rows, "augment")
                              for rows in lockstep_groups(len(d))])
-    write_dataset(LabeledDataset(images, d.labels.copy()), _req(args, "output", str))
-    sheet = _opt(args, "sheet", str)
-    if sheet is not None:
-        _atomic_write(sheet, write_ppm(_contact_sheet(images)))
+    write_dataset(LabeledDataset(images, d.labels.copy()), _req(args, "output"))
+    if args.sheet is not None:
+        _atomic_write(args.sheet, write_ppm(_contact_sheet(images)))
     print(f"augmented {len(d)} images ({spec.kind})")
     return 0
 
 
 def cmd_corrupt(args) -> int:
-    d = load_dataset(_req(args, "input", str))
-    seed = _opt(args, "seed", int, 0)
-    out = Path(_req(args, "output", str))
-    if _opt(args, "suite", bool, False):
-        for sigma, corrupted in gaussian_eval_suite(d, seed):
+    d = load_dataset(_req(args, "input"))
+    out = Path(_req(args, "output"))
+    if args.suite:
+        for sigma, corrupted in gaussian_eval_suite(d, args.seed):
             write_dataset(corrupted, out / f"sigma_{sigma}")
         print(f"wrote {len(SIGMA_SUITE)}-sigma suite for {len(d)} images")
         return 0
-    kind = _req(args, "kind", str)
+    kind = _req(args, "kind")
     spec = CorruptionSpec(
         kind=kind,
-        severity=_opt(args, "severity", int),
-        param=_opt(args, "param", float),
+        severity=args.severity,
+        param=args.param,
     )
-    table_path = _opt(args, "table", str)
-    table = parse_severity_table(Path(table_path).read_text()) if table_path else None
-    images = corrupt(d.images, spec, seed, tag=f"corrupt/{kind}", table=table)
+    table = parse_severity_table(Path(args.table).read_text()) if args.table else None
+    images = corrupt(d.images, spec, args.seed, tag=f"corrupt/{kind}", table=table)
     write_dataset(LabeledDataset(images, d.labels.copy()), out)
     print(f"corrupted {len(d)} images ({kind})")
     return 0
 
 
 def cmd_eval(args) -> int:
-    d = load_dataset(_req(args, "input", str))
-    predictions = _opt(args, "predictions", str)
-    model_path = _opt(args, "model", str)
-    if (predictions is None) == (model_path is None):
+    d = load_dataset(_req(args, "input"))
+    if (args.predictions is None) == (args.model is None):
         raise ValueError("need exactly one of --predictions / --model")
-    if predictions is not None:
-        preds = np.array([int(tok) for tok in Path(predictions).read_text().split()], dtype=np.int64)
+    if args.predictions is not None:
+        preds = np.array([int(tok) for tok in Path(args.predictions).read_text().split()], dtype=np.int64)
     else:
-        preds = decode_model(Path(model_path).read_bytes()).predict(d.images)
+        preds = decode_model(Path(args.model).read_bytes()).predict(d.images)
     acc = accuracy(preds, d.labels)
     print(f"accuracy {acc:.4f}")
     _write_report(args, {"clean_accuracy": acc, "count": len(d)})
     return 0
 
 
+def _rate(cell: str) -> float:
+    if not 0.0 <= (value := float(cell)) <= 1.0:  # also true for nan
+        raise ValueError(f"{cell.strip()!r} is not a rate in [0, 1]")
+    return value
+
+
+def _read_table(path, what: str, header: str, casts) -> list:
+    """The rows below a CSV file's header line, each cell converted by its
+    column's cast; a bad row or cell raises ValueError naming its line."""
+    lines = [(no, ln) for no, ln in enumerate(Path(path).read_text().splitlines(), 1) if ln.strip()]
+    if not lines or lines[0][1].strip() != header:
+        raise ValueError(f"bad {what} header in {path}: want {header!r}")
+    rows = []
+    for no, ln in lines[1:]:
+        try:
+            if ln.count(",") != len(casts) - 1:
+                raise ValueError(f"want {len(casts)} comma-separated columns")
+            rows.append([cast(cell) for cast, cell in zip(casts, ln.split(","))])
+        except ValueError as e:
+            raise ValueError(f"{path} line {no}: {e}") from None
+    return rows
+
+
 def _read_error_map(path) -> dict:
-    lines = [ln for ln in Path(path).read_text().splitlines() if ln.strip()]
-    if not lines or lines[0].strip() != "kind,severity,error":
-        raise ValueError(f"bad error map header in {path}")
     out = {}
-    for ln in lines[1:]:
-        kind, severity, error = ln.split(",")
-        key = (kind.strip(), int(severity))
-        if key in out:
-            raise ValueError(f"repeated {key[0]},{key[1]} row in {path}")
-        out[key] = float(error)
+    for kind, severity, error in _read_table(path, "error map", "kind,severity,error", (str.strip, int, _rate)):
+        if (kind, severity) in out:
+            raise ValueError(f"repeated {kind},{severity} row in {path}")
+        out[kind, severity] = error
     return out
 
 
 def cmd_mce(args) -> int:
-    model_err = _read_error_map(_req(args, "input", str))
-    baseline_err = _read_error_map(_req(args, "baseline", str))
+    model_err = _read_error_map(_req(args, "input"))
+    baseline_err = _read_error_map(_req(args, "baseline"))
     ce = corruption_error(model_err, baseline_err)
     report = {"ce": dict(sorted(ce.items())), "mce": mce(ce)}
-    if _opt(args, "exclude_noise", bool, False):
+    if args.exclude_noise:
         report["mce_minus_noise"] = mce(ce, exclude_noise=True)
     print(f"mCE {report['mce']:.3f}")
     _write_report(args, report)
@@ -274,25 +282,13 @@ def cmd_mce(args) -> int:
 
 
 def _read_candidates(path) -> list:
-    expect = "label,clean_acc," + ",".join(f"acc_{s}" for s in SIGMA_SUITE)
-    lines = [ln for ln in Path(path).read_text().splitlines() if ln.strip()]
-    if not lines or lines[0].strip() != expect:
-        raise ValueError(f"bad candidates header in {path}: want {expect!r}")
-    out = []
-    for ln in lines[1:]:
-        cells = ln.split(",")
-        if len(cells) != 2 + len(SIGMA_SUITE):
-            raise ValueError(f"bad candidates row: {ln!r}")
-        result = EvalResult(
-            clean_accuracy=float(cells[1]),
-            per_sigma_accuracy={s: float(c) for s, c in zip(SIGMA_SUITE, cells[2:])},
-        )
-        out.append(Candidate(label=cells[0].strip(), result=result))
-    return out
+    header = "label,clean_acc," + ",".join(f"acc_{s}" for s in SIGMA_SUITE)
+    rows = _read_table(path, "candidates", header, (str.strip,) + (_rate,) * (1 + len(SIGMA_SUITE)))
+    return [Candidate(label, EvalResult(clean, dict(zip(SIGMA_SUITE, accs)))) for label, clean, *accs in rows]
 
 
 def cmd_select(args) -> int:
-    winner = select_hparams(_read_candidates(_req(args, "input", str)), _req(args, "z", float))
+    winner = select_hparams(_read_candidates(_req(args, "input")), _req(args, "z"))
     print(winner.label)
     _write_report(args, {
         "winner": winner.label,
@@ -303,87 +299,82 @@ def cmd_select(args) -> int:
 
 
 def cmd_fourier(args) -> int:
-    d = load_dataset(_req(args, "input", str))
-    m = decode_model(Path(_req(args, "model", str)).read_bytes())
-    seed = _opt(args, "seed", int, 0)
+    d = load_dataset(_req(args, "input"))
+    m = decode_model(Path(_req(args, "model")).read_bytes())
     h, w = d.images.shape[1:3]
     freqs = half_plane_frequencies(h, w)
-    max_freq = _opt(args, "max_freq", float)
-    if max_freq is not None:
-        freqs = [(i, j) for (i, j) in freqs if math.hypot(i, j) <= max_freq]
+    if args.max_freq is not None:
+        freqs = [(i, j) for (i, j) in freqs if math.hypot(i, j) <= args.max_freq]
     hm = sensitivity_heatmap(
         m, d,
-        v=_req(args, "norm", float),
-        probe=_opt(args, "probe", str, "test_error"),
-        seed=seed,
+        v=_req(args, "norm"),
+        probe=args.probe,
+        seed=args.seed,
         freqs=freqs,
-        workers=_opt(args, "workers", int, 1),
+        workers=args.workers,
     )
-    _atomic_write(_req(args, "output", str), format_heatmap_csv(hm).encode("ascii"))
-    ppm = _opt(args, "ppm", str)
-    if ppm is not None:
-        _atomic_write(ppm, write_ppm(np.repeat(render_heatmap(hm, h, w), 3, axis=2)))
+    _atomic_write(_req(args, "output"), format_heatmap_csv(hm).encode("ascii"))
+    if args.ppm is not None:
+        _atomic_write(args.ppm, write_ppm(np.repeat(render_heatmap(hm, h, w), 3, axis=2)))
     print(f"heatmap over {len(freqs)} frequencies ({hm.probe})")
     return 0
 
 
 def cmd_highpass(args) -> int:
-    d = load_dataset(_req(args, "input", str))
-    radius = _req(args, "radius", float)
+    d = load_dataset(_req(args, "input"))
+    radius = _req(args, "radius")
     images = high_pass(d.images, radius)
-    write_dataset(LabeledDataset(images, d.labels.copy()), _req(args, "output", str))
+    write_dataset(LabeledDataset(images, d.labels.copy()), _req(args, "output"))
     print(f"high-pass filtered {len(d)} images at radius {radius}")
     return 0
 
 
 def cmd_train(args) -> int:
-    d = load_dataset(_req(args, "input", str))
-    seed = _opt(args, "seed", int, 0)
-    classes = _opt(args, "classes", int, int(d.labels.max()) + 1 if len(d) else 2)
+    d = load_dataset(_req(args, "input"))
     m = init_toy_model(
-        seed,
-        k=_opt(args, "filters", int, 16),
+        args.seed,
+        k=args.filters,
         c=d.images.shape[3],
-        g=_opt(args, "pool_grid", int, 4),
-        classes=classes,
+        g=args.pool_grid,
+        classes=int(d.labels.max()) + 1 if args.classes is None else args.classes,
     )
     cfg = TrainConfig(
-        epochs=_opt(args, "epochs", int, 10),
-        learning_rate=_opt(args, "lr", float, 0.1),
-        batch_size=_opt(args, "batch_size", int, 16),
-        seed=seed,
+        epochs=args.epochs,
+        learning_rate=args.lr,
+        batch_size=args.batch_size,
+        seed=args.seed,
         augment=_augment_spec(args, d),
     )
     trained = train(m, d, cfg)
-    _atomic_write(_req(args, "output", str), encode_model(trained))
+    _atomic_write(_req(args, "output"), encode_model(trained))
     print(f"train accuracy {evaluate(trained, d):.4f}")
     return 0
 
 
 def cmd_synth(args) -> int:
-    d = synth_dataset(_opt(args, "seed", int, 0), _opt(args, "count", int, 128))
-    write_dataset(d, _req(args, "output", str))
+    d = synth_dataset(args.seed, args.count)
+    write_dataset(d, _req(args, "output"))
     print(f"wrote {len(d)} synthetic images")
     return 0
 
 
 # ---------------- parser ----------------
 
-def _build_parser() -> argparse.ArgumentParser:
+def _build_parser() -> tuple[argparse.ArgumentParser, dict]:
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--config", help="flat key=value defaults file")
-    common.add_argument("--seed", type=int)
-    common.add_argument("--workers", type=int)
+    common.add_argument("--seed", type=int, default=0)
+    common.add_argument("--workers", type=int, default=1)
     common.add_argument("--input")
     common.add_argument("--output")
 
     aug_flags = argparse.ArgumentParser(add_help=False)
-    aug_flags.add_argument("--kind")
-    aug_flags.add_argument("--sigma-max", type=float)
-    aug_flags.add_argument("--patch-size", type=int)
-    aug_flags.add_argument("--sample-up-to", action=argparse.BooleanOptionalAction, default=None)
-    aug_flags.add_argument("--order", choices=ORDERS)
-    aug_flags.add_argument("--pad", type=int)
+    aug_flags.add_argument("--kind", default="none")
+    aug_flags.add_argument("--sigma-max", type=float, default=0.0)
+    aug_flags.add_argument("--patch-size", type=int, default=1)
+    aug_flags.add_argument("--sample-up-to", action=argparse.BooleanOptionalAction, default=False)
+    aug_flags.add_argument("--order", choices=ORDERS, default="augment_then_flipcrop")
+    aug_flags.add_argument("--pad", type=int, default=0)
 
     parser = argparse.ArgumentParser(prog="robustaug", description=__doc__.splitlines()[0])
     sub = parser.add_subparsers(dest="command", required=True)
@@ -393,7 +384,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_augment)
 
     p = sub.add_parser("corrupt", parents=[common], help="corrupt a dataset")
-    p.add_argument("--suite", action=argparse.BooleanOptionalAction, default=None,
+    p.add_argument("--suite", action=argparse.BooleanOptionalAction, default=False,
                    help="write the fixed sigma suite instead of one corruption")
     p.add_argument("--kind", choices=CORRUPTION_KINDS)
     p.add_argument("--severity", type=int)
@@ -408,7 +399,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("mce", parents=[common], help="corruption error report")
     p.add_argument("--baseline", help="baseline error map CSV")
-    p.add_argument("--exclude-noise", action=argparse.BooleanOptionalAction, default=None)
+    p.add_argument("--exclude-noise", action=argparse.BooleanOptionalAction, default=False)
     p.set_defaults(func=cmd_mce)
 
     p = sub.add_parser("select", parents=[common], help="hyperparameter selection")
@@ -417,7 +408,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("fourier", parents=[common], help="sensitivity heatmap")
     p.add_argument("--model", help="TOYM checkpoint")
-    p.add_argument("--probe", choices=("test_error", "first_layer"))
+    p.add_argument("--probe", choices=("test_error", "first_layer"), default="test_error")
     p.add_argument("--norm", type=float, help="perturbation l2 norm")
     p.add_argument("--max-freq", type=float, help="keep frequencies within this magnitude")
     p.add_argument("--ppm", help="optional PPM rendering path")
@@ -428,25 +419,30 @@ def _build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_highpass)
 
     p = sub.add_parser("train", parents=[common, aug_flags], help="train the toy classifier")
-    p.add_argument("--filters", type=int)
-    p.add_argument("--pool-grid", type=int)
-    p.add_argument("--classes", type=int)
-    p.add_argument("--epochs", type=int)
-    p.add_argument("--lr", type=float)
-    p.add_argument("--batch-size", type=int)
+    p.add_argument("--filters", type=int, default=16)
+    p.add_argument("--pool-grid", type=int, default=4)
+    p.add_argument("--classes", type=int, help="default: the largest label + 1")
+    p.add_argument("--epochs", type=int, default=10)
+    p.add_argument("--lr", type=float, default=0.1)
+    p.add_argument("--batch-size", type=int, default=16)
     p.set_defaults(func=cmd_train)
 
     p = sub.add_parser("synth", parents=[common], help="generate the synthetic dataset")
-    p.add_argument("--count", type=int)
+    p.add_argument("--count", type=int, default=128)
     p.set_defaults(func=cmd_synth)
 
-    return parser
+    return parser, sub.choices
 
 
 def main(argv=None) -> int:
-    args = _build_parser().parse_args(argv)
+    parser, commands = _build_parser()
+    args = parser.parse_args(argv)
     try:
-        args.run_config = parse_config(Path(args.config).read_text()) if args.config else {}
+        if args.config:
+            # config values become the command's defaults, so flags still win
+            command = commands[args.command]
+            command.set_defaults(**_config_defaults(command, args.config))
+            args = parser.parse_args(argv)
         return args.func(args)
     except (ValueError, OSError) as e:
         print(f"error: {e}", file=sys.stderr)

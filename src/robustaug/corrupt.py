@@ -33,8 +33,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import ndimage
-from scipy import stats
 
 from .augment import gaussian_batch
 from .images import LabeledDataset, clip_unit
@@ -117,7 +115,10 @@ def parse_severity_table(text: str) -> dict:
         parts = line.split()
         if len(parts) != 3:
             raise ValueError(f"severity table line {lineno}: expected 'kind level parameter'")
-        kind, level, param = parts[0], int(parts[1]), float(parts[2])
+        try:
+            kind, level, param = parts[0], int(parts[1]), float(parts[2])
+        except ValueError as e:
+            raise ValueError(f"severity table line {lineno}: {e}") from None
         if level in rows.setdefault(kind, {}):
             raise ValueError(f"severity table line {lineno}: repeated {kind} level {level}")
         rows[kind][level] = param
@@ -167,6 +168,7 @@ def _gaussian_noise(images: np.ndarray, sigma: float, states: np.ndarray) -> np.
 
 
 def _shot_noise(images: np.ndarray, lam: float, states: np.ndarray) -> np.ndarray:
+    from scipy import stats  # imported here: it takes most of a second, and most commands never need it
     u = next_units(states, images.shape[1:])
     # Exact inverse-transform Poisson: k = F^{-1}(u) at mean img*lam.
     counts = stats.poisson.ppf(u, images * lam)
@@ -199,6 +201,7 @@ def _disk_kernel(radius: float) -> np.ndarray:
 
 
 def _defocus_blur(images: np.ndarray, radius: float) -> np.ndarray:
+    from scipy import ndimage  # imported here for the reason given in _shot_noise
     kernel = _disk_kernel(radius)[None, :, :, None]
     return clip_unit(ndimage.convolve(images, kernel, mode="nearest"))
 

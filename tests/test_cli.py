@@ -1,12 +1,17 @@
 """End-to-end command-line behavior on temp directories."""
 
 import json
+import math
+import os
 import struct
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from robustaug.cli import load_dataset, main, parse_config
+from robustaug.cli import _contact_sheet, load_dataset, main, parse_config
 from robustaug.corrupt import SIGMA_SUITE
 from robustaug.images import decode_tensor
 from robustaug.model import decode_model
@@ -80,6 +85,18 @@ def test_augment_contact_sheet(tmp_path):
     assert data.startswith(b"P6\n96 64\n255\n")
 
 
+@pytest.mark.parametrize("c", [1, 3])
+@pytest.mark.parametrize("n", [1, 2, 5, 17])
+def test_contact_sheet_tiles_images_row_major(n, c):
+    images = np.random.default_rng(n).random((n, 4, 3, c))
+    cols = math.ceil(math.sqrt(n))
+    want = np.zeros(((n + cols - 1) // cols * 4, cols * 3, 3))
+    for i in range(n):  # one tile per image, gray images repeated into RGB
+        r, col = divmod(i, cols)
+        want[r * 4:(r + 1) * 4, col * 3:(col + 1) * 3] = images[i]
+    assert np.array_equal(_contact_sheet(images), want)
+
+
 def test_cifar_batch_input(tmp_path, capsys):
     records = b""
     for label in (3, 5):
@@ -137,6 +154,29 @@ def test_mce_self_baseline_prints_unity(tmp_path, capsys):
     assert got["ce"] == {"brightness": 1.0, "gaussian_noise": 1.0}
 
 
+ERROR_MAP = ["kind,severity,error"] + [f"gaussian_noise,{sev},0.5" for sev in range(1, 6)]
+
+
+@pytest.mark.parametrize("row,why", [
+    ("gaussian_noise,1", "want 3 comma-separated columns"),
+    ("gaussian_noise,1,0.5,0.1", "want 3 comma-separated columns"),
+    ("gaussian_noise,one,0.5", "invalid literal for int()"),
+    ("gaussian_noise,1,half", "could not convert string to float"),
+    ("gaussian_noise,1,nan", "'nan' is not a rate in [0, 1]"),
+    ("gaussian_noise,1,1.5", "'1.5' is not a rate in [0, 1]"),
+    ("gaussian_noise,1,-0.1", "'-0.1' is not a rate in [0, 1]"),
+])
+def test_mce_names_the_line_of_a_bad_error_row(tmp_path, capsys, row, why):
+    good, bad, report = tmp_path / "good.csv", tmp_path / "bad.csv", tmp_path / "mce.json"
+    good.write_text("\n".join(ERROR_MAP) + "\n")
+    bad.write_text("\n".join([ERROR_MAP[0], "", row] + ERROR_MAP[2:]) + "\n")
+    for model_csv, baseline_csv in ((bad, good), (good, bad)):
+        assert run("mce", "--input", model_csv, "--baseline", baseline_csv, "--output", report) == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {bad} line 3: ") and why in err
+    assert not report.exists()
+
+
 def test_mce_rejects_a_repeated_error_row(tmp_path, capsys):
     rows = ["kind,severity,error"] + [f"gaussian_noise,{sev},0.5" for sev in range(1, 6)]
     good = tmp_path / "good.csv"
@@ -175,6 +215,20 @@ def test_select_rejects_bad_header(tmp_path, capsys):
     assert "bad candidates header" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("row,why", [
+    ("B,0.96," + ",".join(["0.94"] * 5), "want 8 comma-separated columns"),
+    ("B,0.96," + ",".join(["0.94"] * 5) + ",high", "could not convert string to float"),
+    ("B,1.2," + ",".join(["0.94"] * 6), "'1.2' is not a rate in [0, 1]"),
+])
+def test_select_names_the_line_of_a_bad_candidate_row(tmp_path, capsys, row, why):
+    header = "label,clean_acc," + ",".join(f"acc_{s}" for s in SIGMA_SUITE)
+    cands = tmp_path / "cands.csv"
+    cands.write_text("\n".join([header, "A,0.97," + ",".join(["0.92"] * 6), row]) + "\n")
+    assert run("select", "--input", cands, "--z", "0.9") == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {cands} line 3: ") and why in err
+
+
 def test_highpass_zero_radius_copies_bytes(tmp_path):
     d = make_synth(tmp_path)
     out = tmp_path / "hp"
@@ -191,6 +245,17 @@ def test_empty_dataset_directory_is_diagnosed(tmp_path, capsys):
     assert run("highpass", "--input", d, "--output", tmp_path / "hp", "--radius", "1") == 1
     assert f"error: {d}: empty dataset" in capsys.readouterr().err
     assert not (tmp_path / "hp").exists()
+
+
+def test_empty_cifar_batch_is_diagnosed(tmp_path, capsys):
+    empty = tmp_path / "empty.bin"
+    empty.write_bytes(b"")
+    with pytest.raises(ValueError, match="empty dataset"):
+        load_dataset(empty)
+    for argv in (["highpass", "--radius", "1"], ["augment"]):
+        assert run(*argv, "--input", empty, "--output", tmp_path / "out") == 1
+        assert f"error: {empty}: empty dataset" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
 
 
 def test_train_eval_fourier_round_trip(tmp_path, capsys):
@@ -233,6 +298,79 @@ def test_config_file_defaults_and_flag_override(tmp_path):
     assert dir_bytes(c) != dir_bytes(a)
 
 
+@pytest.fixture(scope="module")
+def data_and_model(tmp_path_factory):
+    root = tmp_path_factory.mktemp("config")
+    data, ckpt = root / "data", root / "model.toym"
+    assert run("synth", "--output", data, "--seed", 3, "--count", 8) == 0
+    assert run("train", "--input", data, "--output", ckpt, "--filters", 2, "--pool-grid", 2, "--epochs", 1) == 0
+    return data, ckpt
+
+
+PATCH = ["--kind", "patch_gaussian", "--sigma-max", "1.0", "--patch-size", "8"]
+TRAIN = ["--filters", "2", "--pool-grid", "2", "--epochs", "1"]
+NOISY_TRAIN = TRAIN + ["--kind", "gaussian", "--sigma-max", "0.5", "--pad", "2"]
+FOURIER = ["--max-freq", "2", "--norm", "2.0"]
+
+# (command, flags given both ways, the flags under test, the config line in their place);
+# "{out}" stands for the run's output directory
+CONFIG_CASES = {
+    "augment-int": ("augment", PATCH, ["--seed", "7"], "seed=7"),
+    "augment-float": ("augment", ["--kind", "gaussian"], ["--sigma-max", "0.7"], "sigma-max = 0.7"),
+    "augment-true": ("augment", PATCH, ["--sample-up-to"], "sample_up_to=yes"),
+    "augment-false": ("augment", PATCH, ["--no-sample-up-to"], "sample_up_to=Off"),
+    "augment-path": ("augment", PATCH, ["--sheet", "{out}/sheet.ppm"], "sheet={out}/sheet.ppm"),
+    "train-int": ("train", NOISY_TRAIN, ["--batch-size", "3"], "batch_size=3"),
+    "train-float": ("train", NOISY_TRAIN, ["--lr", "0.3"], "lr=0.3"),
+    "train-true": ("train", TRAIN + PATCH, ["--sample-up-to"], "sample-up-to=1"),
+    "train-false": ("train", TRAIN + PATCH, ["--no-sample-up-to"], "sample-up-to=false"),
+    "train-choices": ("train", NOISY_TRAIN, ["--order", "flipcrop_then_augment"], "order=flipcrop_then_augment"),
+    "fourier-int": ("fourier", FOURIER, ["--seed", "5"], "seed=5"),
+    "fourier-float": ("fourier", ["--max-freq", "2"], ["--norm", "3.5"], "norm=3.5"),
+    "fourier-choices": ("fourier", FOURIER, ["--probe", "first_layer"], "probe=first_layer"),
+    "fourier-path": ("fourier", FOURIER, ["--ppm", "{out}/hm.ppm"], "ppm={out}/hm.ppm"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(CONFIG_CASES))
+def test_config_line_matches_its_flag(tmp_path, data_and_model, case):
+    command, both, flags, line = CONFIG_CASES[case]
+    data, ckpt = data_and_model
+    trees = []
+    for name in ("flags", "config"):
+        out = tmp_path / name
+        argv = [command, "--input", data, "--output", out / "result", *both]
+        argv += ["--model", ckpt] if command == "fourier" else []
+        if name == "flags":
+            argv += [flag.format(out=out) for flag in flags]
+        else:
+            cfg = tmp_path / "run.cfg"
+            cfg.write_text(f"# {case}\n{line.format(out=out)}\n")
+            argv += ["--config", cfg]
+        assert run(*argv) == 0
+        trees.append(dir_bytes(out))
+    assert trees[0] == trees[1]
+
+
+@pytest.mark.parametrize("command,text,named", [
+    ("augment", "kind=gaussian\nsigma_mx=0.7", "sigma_mx is not an option of robustaug augment"),
+    ("augment", "radius=2", "radius is not an option of robustaug augment"),
+    ("augment", "config=other.cfg", "config is not an option of robustaug augment"),
+    ("train", "order=sideways", "bad value for order: 'sideways'"),
+    ("fourier", "probe=last_layer", "bad value for probe: 'last_layer'"),
+    ("train", "epochs=2.5", "bad value for epochs: '2.5'"),
+    ("augment", "sample-up-to=maybe", "bad value for sample_up_to: 'maybe'"),
+])
+def test_bad_config_line_exits_1_naming_the_key(tmp_path, capsys, data_and_model, command, text, named):
+    data, ckpt = data_and_model
+    cfg, out = tmp_path / "run.cfg", tmp_path / "out"
+    cfg.write_text(text + "\n")
+    model = ["--model", ckpt] if command == "fourier" else []
+    assert run(command, "--input", data, *model, "--output", out, "--config", cfg) == 1
+    assert capsys.readouterr().err == f"error: {cfg}: {named}\n"
+    assert not out.exists()
+
+
 def test_parse_config_rejects_garbage():
     with pytest.raises(ValueError, match="bad config line"):
         parse_config("seed 5\n")
@@ -261,3 +399,13 @@ def test_missing_input_file_is_diagnosed(tmp_path, capsys):
 def test_unknown_command_exits_nonzero():
     with pytest.raises(SystemExit):
         main(["frobnicate"])
+
+
+def test_importing_the_cli_leaves_scipy_unloaded():
+    # scipy takes most of a second to import; only two corruptions need it
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH")) if p))
+    code = "import sys, robustaug.cli; print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
+    done = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=120)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.strip() == "[]"

@@ -283,6 +283,12 @@ def test_severity_table_rejects_a_repeated_level():
         parse_severity_table("brightness 1 0.05\nbrightness 1 0.05\n")
 
 
+@pytest.mark.parametrize("bad_line", ["brightness x 0.1", "brightness 2 abc", "brightness 2.5 0.1"])
+def test_severity_table_names_the_line_of_a_bad_level_or_parameter(bad_line):
+    with pytest.raises(ValueError, match=r"^severity table line 3: "):
+        parse_severity_table(f"# kind level parameter\nbrightness 1 0.05\n{bad_line}\n")
+
+
 def test_resolve_param_precedence():
     assert resolve_param(CorruptionSpec(kind="brightness", severity=3)) == 0.15
     assert resolve_param(CorruptionSpec(kind="brightness", param=0.42)) == 0.42
