@@ -17,9 +17,12 @@ key=value lines: each key is one of the command's long options (dashes or
 underscores), an unknown key is an error, each value is checked as its flag
 would be, and explicit flags override the file.  Every output file is
 written to a temporary name and renamed into place, and every command is
-deterministic given its seed and inputs.  Every command accepts --workers,
-but only fourier uses it, to spread heatmap frequencies over threads; the
-others work on the whole dataset as one batch.
+deterministic given its seed and inputs.  Every command accepts --workers;
+train (the epochs of a noise arm), fourier (the heatmap frequencies) and
+corrupt --suite (the sigmas) spread their work over that many forked
+processes with one BLAS thread each, and give the same bytes at every
+worker count.  Where fork is missing they run sequentially and warn once;
+the other commands work on the whole dataset as one batch.
 """
 
 import argparse
@@ -65,6 +68,7 @@ from .metrics import (
     select_hparams,
 )
 from .model import TrainConfig, decode_model, encode_model, evaluate, init_toy_model, synth_dataset, train
+from .parallel import indexed_map
 from .rng import lockstep_groups
 
 _BOOL = {"1": True, "true": True, "yes": True, "on": True,
@@ -86,11 +90,24 @@ def _image_name(i: int) -> str:
     return f"{i:05d}.imgt"
 
 
+def _read_ints(path) -> np.ndarray:
+    """The whitespace-separated integers of a text file; a bad token raises
+    ValueError naming the file and its line."""
+    values = []
+    for no, line in enumerate(Path(path).read_text().splitlines(), 1):
+        for tok in line.split():
+            try:
+                values.append(int(tok))
+            except ValueError:
+                raise ValueError(f"{path} line {no}: {tok!r} is not an integer") from None
+    return np.array(values, dtype=np.int64)
+
+
 def load_dataset(path) -> LabeledDataset:
     """CIFAR binary batch file, or a directory of .imgt tensors + labels.txt."""
     p = Path(path)
     if p.is_dir():
-        labels = np.array([int(tok) for tok in (p / "labels.txt").read_text().split()], dtype=np.int64)
+        labels = _read_ints(p / "labels.txt")
         files = len(list(p.glob("*.imgt")))
         if files != len(labels):
             raise ValueError(f"{p}: {files} .imgt files for {len(labels)} labels")
@@ -206,8 +223,11 @@ def cmd_corrupt(args) -> int:
     d = load_dataset(_req(args, "input"))
     out = Path(_req(args, "output"))
     if args.suite:
-        for sigma, corrupted in gaussian_eval_suite(d, args.seed):
-            write_dataset(corrupted, out / f"sigma_{sigma}")
+        def write_sigma(i):
+            for sigma, corrupted in gaussian_eval_suite(d, args.seed, SIGMA_SUITE[i:i + 1]):
+                write_dataset(corrupted, out / f"sigma_{sigma}")
+
+        list(indexed_map(write_sigma, len(SIGMA_SUITE), args.workers))
         print(f"wrote {len(SIGMA_SUITE)}-sigma suite for {len(d)} images")
         return 0
     kind = _req(args, "kind")
@@ -228,7 +248,7 @@ def cmd_eval(args) -> int:
     if (args.predictions is None) == (args.model is None):
         raise ValueError("need exactly one of --predictions / --model")
     if args.predictions is not None:
-        preds = np.array([int(tok) for tok in Path(args.predictions).read_text().split()], dtype=np.int64)
+        preds = _read_ints(args.predictions)
     else:
         preds = decode_model(Path(args.model).read_bytes()).predict(d.images)
     acc = accuracy(preds, d.labels)
@@ -345,7 +365,7 @@ def cmd_train(args) -> int:
         seed=args.seed,
         augment=_augment_spec(args, d),
     )
-    trained = train(m, d, cfg)
+    trained = train(m, d, cfg, args.workers)
     _atomic_write(_req(args, "output"), encode_model(trained))
     print(f"train accuracy {evaluate(trained, d):.4f}")
     return 0

@@ -253,15 +253,16 @@ def corrupt(
     return out
 
 
-def gaussian_eval_suite(d: LabeledDataset, seed: int) -> list[tuple[float, LabeledDataset]]:
+def gaussian_eval_suite(d: LabeledDataset, seed: int, sigmas=SIGMA_SUITE) -> list[tuple[float, LabeledDataset]]:
     """The six-sigma Gaussian noise suite used for robustness evaluation.
 
-    Returns [(sigma, corrupted dataset)] for sigma in SIGMA_SUITE, in that
-    order. Image i at sigma s is corrupted with the stream derived from
-    (seed, i, "suite/<s>"), so the suite is reproducible image by image.
+    Returns [(sigma, corrupted dataset)] for sigma in sigmas, by default
+    SIGMA_SUITE, in that order. Image i at sigma s is corrupted with the
+    stream derived from (seed, i, "suite/<s>"), so the suite is reproducible
+    image by image and sigma by sigma.
     """
     if len(d) == 0:
         raise ValueError("empty dataset")
     return [(sigma, LabeledDataset(corrupt(d.images, CorruptionSpec("gaussian_noise", param=sigma), seed,
                                            tag=f"suite/{sigma}"), d.labels.copy()))
-            for sigma in SIGMA_SUITE]
+            for sigma in sigmas]

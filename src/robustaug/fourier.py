@@ -175,7 +175,8 @@ def sensitivity_heatmap(
     freqs defaults to the canonical half plane of the dataset's image grid.
     Per-image streams are derived from (seed, index, "fourier/i,j"), so the
     result is independent of worker count and frequency order; each
-    frequency perturbs all images at once with perturb_with_basis. The
+    frequency perturbs all images at once with perturb_with_basis, and with
+    workers > 1 the frequencies run in forked processes (indexed_map). The
     first_layer probe keeps only per-image activation norms, computing
     activations _PROBE_CHUNK images at a time.
     """
@@ -210,7 +211,7 @@ def sensitivity_heatmap(
         mean_delta = float(np.mean(delta))
         return mean_delta / clean_norm, mean_delta
 
-    values = indexed_map(probe_frequency, len(freq_list), workers=workers)
+    values = list(indexed_map(probe_frequency, len(freq_list), workers=workers))
     grid = {f: val for f, (val, _) in zip(freq_list, values)}
     if probe == "test_error":
         return FourierHeatmap(probe=probe, norm=v, seed=seed, grid=grid)

@@ -20,6 +20,7 @@ import numpy as np
 
 from .augment import AugmentSpec, draw_flips, flip_only, mirror, run_pipeline_batch
 from .images import LabeledDataset
+from .parallel import indexed_map
 from .rng import (child_tag_of, derive_states, derive_stream, lockstep_fields, lockstep_groups, next_ints, next_units,
                   permutations)
 
@@ -224,7 +225,7 @@ def head_gradient(m: ToyModel, images, labels) -> np.ndarray:
     return _ce_gradient(_features(m, images), m.head, labels)
 
 
-def train(m: ToyModel, d: LabeledDataset, cfg: TrainConfig) -> ToyModel:
+def train(m: ToyModel, d: LabeledDataset, cfg: TrainConfig, workers: int = 1) -> ToyModel:
     """Mini-batch SGD on the head; filters stay frozen.
 
     Each epoch visits a fresh Fisher-Yates permutation drawn from the
@@ -238,12 +239,17 @@ def train(m: ToyModel, d: LabeledDataset, cfg: TrainConfig) -> ToyModel:
     and each of its batches steps the head on its rows of that array, which
     is freed before the next group is augmented.
 
+    Features never depend on the head, so with workers > 1 the groups are
+    augmented and featurized in that many forked processes (indexed_map)
+    while this one steps the head through them in order; every worker count
+    gives the same head bit for bit.
+
     Under a flip_only pipeline (kind "none", pad 0) every example is either
     itself or its mirror, so the features of both variants are computed once
     and each group reads its rows from that cache of
     2 * n * (k * pool_grid**2 + 1) * 8 bytes, by the flip decision, the first
-    draw of each example's "ep<epoch>/flipcrop" stream. Both give the same
-    rows bit for bit.
+    draw of each example's "ep<epoch>/flipcrop" stream, in this process. Both
+    give the same rows bit for bit.
     """
     n = len(d)
     if n == 0:
@@ -253,19 +259,23 @@ def train(m: ToyModel, d: LabeledDataset, cfg: TrainConfig) -> ToyModel:
     cache = None
     if flip_only(cfg.augment):
         cache = np.concatenate([_features(m, d.images), _features(m, mirror(d.images))])
-    shuffles = (order for epochs in lockstep_groups(cfg.epochs)
-                for order in permutations(derive_states(cfg.seed, epochs, "shuffle"), n))
-    for epoch, order in enumerate(shuffles):
-        tag = f"ep{epoch}"
-        for group in lockstep_groups(n, cfg.batch_size):
-            idx = order[group.start:group.stop]
-            if cache is None:
-                feats = _features(m, run_pipeline_batch(d.images[idx], cfg.augment, cfg.seed, idx, tag))
-            else:  # cache row i + n is example i mirrored
-                feats = cache[idx + n * draw_flips(derive_states(cfg.seed, idx, child_tag_of(tag, "flipcrop")))]
-            for b in (slice(start, start + cfg.batch_size) for start in range(0, len(idx), cfg.batch_size)):
-                head -= cfg.learning_rate * _ce_gradient(feats[b], head, labels[idx[b]])
-            feats = None  # freed before the next group is augmented, which lowers peak memory
+        workers = 1
+    orders = np.concatenate([permutations(derive_states(cfg.seed, epochs, "shuffle"), n)
+                             for epochs in lockstep_groups(cfg.epochs)])
+    groups = [(f"ep{epoch}", orders[epoch, g.start:g.stop])
+              for epoch in range(cfg.epochs) for g in lockstep_groups(n, cfg.batch_size)]
+
+    def features(i):
+        tag, idx = groups[i]
+        if cache is None:
+            return idx, _features(m, run_pipeline_batch(d.images[idx], cfg.augment, cfg.seed, idx, tag))
+        # cache row i + n is example i mirrored
+        return idx, cache[idx + n * draw_flips(derive_states(cfg.seed, idx, child_tag_of(tag, "flipcrop")))]
+
+    for idx, feats in indexed_map(features, len(groups), workers):
+        for b in (slice(start, start + cfg.batch_size) for start in range(0, len(idx), cfg.batch_size)):
+            head -= cfg.learning_rate * _ce_gradient(feats[b], head, labels[idx[b]])
+        feats = None  # freed before the next group is augmented, which lowers peak memory
     return ToyModel(filters=m.filters, head=head, pool_grid=m.pool_grid)
 
 

@@ -310,7 +310,7 @@ def trained_arms():
         for arm, spec in ARM_SPECS.items():
             cfg = TrainConfig(epochs=120, learning_rate=0.2, batch_size=16,
                               seed=seed, augment=spec)
-            models[arm, seed] = train(init_toy_model(seed, 48, 1, 4, 2), train_d, cfg)
+            models[arm, seed] = train(init_toy_model(seed, 48, 1, 4, 2), train_d, cfg, workers=2)
     return models, held_out, time.perf_counter() - t0
 
 
@@ -396,6 +396,12 @@ def test_cli_reruns_are_byte_identical(tmp_path):
     ckpt = tmp_path / "model.toym"
     ok = ok and run("train", "--input", data, "--output", ckpt, "--seed", 1,
                     "--filters", 4, "--epochs", 2, "--batch-size", 8) == 0
+    patch_ckpts = [tmp_path / f"patch{i}.toym" for i in range(3)]
+    for i, workers in enumerate((1, 1, 2)):
+        ok = ok and run("train", "--input", data, "--output", patch_ckpts[i], "--seed", 1,
+                        "--filters", 4, "--epochs", 3, "--batch-size", 8, "--kind", "patch_gaussian",
+                        "--patch-size", 12, "--sigma-max", 1.0, "--workers", workers) == 0
+    ok = ok and patch_ckpts[0].read_bytes() == patch_ckpts[1].read_bytes() == patch_ckpts[2].read_bytes()
     maps = [tmp_path / f"map{i}.csv" for i in range(3)]
     ppms = [tmp_path / f"map{i}.ppm" for i in range(3)]
     for i, workers in enumerate((1, 1, 4)):

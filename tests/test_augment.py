@@ -436,8 +436,9 @@ def test_pipeline_parallel_map_equals_sequential():
     def work(i):
         return run_pipeline(images[i], spec, derive_stream(5, i, "par"))
 
-    seq = indexed_map(work, len(images), workers=1)
-    par = indexed_map(work, len(images), workers=4)
+    seq = list(indexed_map(work, len(images), workers=1))
+    par = list(indexed_map(work, len(images), workers=4))
+    assert len(seq) == len(par) == len(images)
     for s, p in zip(seq, par):
         assert np.array_equal(s, p)
 

@@ -247,6 +247,23 @@ def test_empty_dataset_directory_is_diagnosed(tmp_path, capsys):
     assert not (tmp_path / "hp").exists()
 
 
+def test_non_integer_label_names_file_and_line(tmp_path, capsys):
+    d = make_synth(tmp_path, count=4)
+    (d / "labels.txt").write_text("0\n1\n0x\n1\n")
+    with pytest.raises(ValueError, match=r"labels.txt line 3: '0x' is not an integer"):
+        load_dataset(d)
+    assert run("highpass", "--input", d, "--output", tmp_path / "hp", "--radius", "1") == 1
+    assert f"error: {d / 'labels.txt'} line 3: '0x' is not an integer" in capsys.readouterr().err
+
+
+def test_non_integer_prediction_names_file_and_line(tmp_path, capsys):
+    d = make_synth(tmp_path, count=4)
+    preds = tmp_path / "preds.txt"
+    preds.write_text("0 1\n0 1.5\n")
+    assert run("eval", "--input", d, "--predictions", preds) == 1
+    assert f"error: {preds} line 2: '1.5' is not an integer" in capsys.readouterr().err
+
+
 def test_empty_cifar_batch_is_diagnosed(tmp_path, capsys):
     empty = tmp_path / "empty.bin"
     empty.write_bytes(b"")

@@ -330,10 +330,13 @@ def test_train_validation():
 
 
 def test_predict_thread_safe_reads():
+    rng = np.random.default_rng(6)
     m = init_toy_model(6, k=3, c=1, g=2, classes=3)
-    images = np.random.default_rng(6).random((8, 8, 8, 1))
+    m = ToyModel(filters=m.filters, head=rng.normal(size=m.head.shape), pool_grid=2)  # a zero head predicts all 0
+    images = rng.random((8, 8, 8, 1))
     sequential = predict(m, images)
-    chunks = indexed_map(lambda i: predict(m, images[i:i + 2]), 4, workers=4)
+    assert len(set(sequential.tolist())) > 1
+    chunks = list(indexed_map(lambda i: predict(m, images[i * 2:i * 2 + 2]), 4, workers=4))
     assert np.array_equal(np.concatenate(chunks), sequential)
 
 
