@@ -131,14 +131,6 @@ def parse_severity_table(text: str) -> dict:
     return table
 
 
-def format_severity_table(table: dict) -> str:
-    lines = ["# kind level parameter"]
-    for kind in sorted(table):
-        for level, param in enumerate(table[kind], 1):
-            lines.append(f"{kind} {level} {param!r}")
-    return "\n".join(lines) + "\n"
-
-
 def resolve_param(spec: CorruptionSpec, table: dict | None = None) -> float:
     if spec.param is not None:
         return float(spec.param)

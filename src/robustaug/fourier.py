@@ -262,35 +262,6 @@ def format_heatmap_csv(hm: FourierHeatmap) -> str:
     return "\n".join(lines) + "\n"
 
 
-def parse_heatmap_csv(text: str) -> FourierHeatmap:
-    lines = [ln for ln in text.splitlines() if ln.strip()]
-    if len(lines) < 2 or not lines[0].startswith("# "):
-        raise ValueError("malformed heatmap file")
-    meta = dict(part.split("=", 1) for part in lines[0][2:].split())
-    missing = {"probe", "v", "seed"} - meta.keys()
-    if missing:
-        raise ValueError(f"heatmap header lacks {', '.join(sorted(missing))}")
-    if lines[1] not in ("i,j,value", "i,j,value,absolute"):
-        raise ValueError(f"bad heatmap column header: {lines[1]!r}")
-    width = lines[1].count(",") + 1
-    grid, absolute = {}, {}
-    for ln in lines[2:]:
-        cells = ln.split(",")
-        if len(cells) != width:
-            raise ValueError(f"malformed heatmap row: {ln!r}")
-        f = (int(cells[0]), int(cells[1]))
-        grid[f] = float(cells[2])
-        if len(cells) > 3:
-            absolute[f] = float(cells[3])
-    return FourierHeatmap(
-        probe=meta["probe"],
-        norm=float(meta["v"]),
-        seed=int(meta["seed"]),
-        grid=grid,
-        absolute=absolute or None,
-    )
-
-
 def render_heatmap(hm: FourierHeatmap, h: int, w: int) -> np.ndarray:
     """Grayscale image of the full centered grid for PPM output.
 

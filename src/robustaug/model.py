@@ -28,7 +28,6 @@ TOYM_MAGIC = b"TOYM"
 _TOYM_VERSION = 1
 _HEADER = struct.Struct("<IIIII")  # version, filters, channels, grid, classes
 
-SYNTH_KINDS = ("low_freq_vs_high_freq",)
 SYNTH_SIZE = 32
 GRATING_AMPLITUDE = 0.4
 BACKGROUND_SIGMA = 0.05
@@ -41,7 +40,7 @@ HIGH_FREQS = ((0, 8), (8, 0), (6, 6), (8, 4), (4, 8), (10, 0), (0, 10), (6, 8), 
 # Both tables in one array: HIGH_FREQS[k] is _FREQS[len(LOW_FREQS) + k].
 _FREQS = np.array(LOW_FREQS + HIGH_FREQS)
 
-# Images per chunk of _conv_cells: its taps, their index and one band's activations
+# Images per chunk of _conv_bands: its taps, their index and one band's activations
 # (1.97 MB for 8 32x32 images, a 4x4 grid and 48 filters) fit a core's 2 MiB L2 on a
 # 2-vCPU Xeon, where 8 ran fastest of 4, 8, 16 and 32 at one BLAS thread.
 FEATURE_CHUNK = 8
@@ -126,15 +125,17 @@ def init_toy_model(seed: int, k: int, c: int, g: int, classes: int) -> ToyModel:
     return ToyModel(filters=filters, head=np.zeros((k * g * g + 1, classes)), pool_grid=g)
 
 
-def _conv_cells(m: ToyModel, images):
+def _conv_bands(m: ToyModel, images):
     """Same-size 3x3 correlation with clamp-to-edge padding, then ReLU, per
-    chunk of FEATURE_CHUNK images and pooling row band.  Yields (chunk, band,
-    cell, rows, cols, acts) per pooling cell, acts a (rows, cols, images, k)
-    view of a buffer the next band overwrites.  A band is one GEMM on taps
-    gathered once per chunk, rows running (row, column, cell, image), at the
-    size of the last and largest band and cell; a short chunk's spare slots
-    repeat its last pixel.  With two or more filters a GEMM row depends only
-    on its own taps, so the extra rows change no bit.
+    chunk of FEATURE_CHUNK images and pooling row band, in image order.
+    Yields (chunk, band, rows, acts), acts a (rows, w, images, max(k, 2))
+    view of a buffer the next band overwrites; callers take the first k
+    filters only after reducing.  A band is one GEMM on its rows of the taps
+    gathered once per chunk, laid out (row, column, image); a short chunk's
+    spare image slots repeat its last pixel.  A lone filter gets a zero
+    second one, because numpy's one-column matmul takes a GEMV path whose
+    sums depend on the number of rows; with the GEMM a row depends only on
+    its own taps, so an image's features do not depend on its batch.
     """
     images = np.asarray(images, dtype=np.float64)
     if images.ndim != 4 or images.shape[3] != m.channels:
@@ -143,34 +144,38 @@ def _conv_cells(m: ToyModel, images):
     k, g = len(m.filters), m.pool_grid
     if g > h or g > w:
         raise ValueError("pool grid exceeds image size")
-    ys, xs = ([size * t // g for t in range(g + 1)] for size in (h, w))
-    tall, wide = ys[-1] - ys[-2], xs[-1] - xs[-2]
+    ys = [h * t // g for t in range(g + 1)]
     tile = min(n, FEATURE_CHUNK)
-    # flat pixel of tap (dy, dx) at each (band, row, column, cell, image), clamped to the edge
-    y = np.clip(np.add.outer(np.add.outer(ys[:-1], np.arange(tall)), np.arange(-1, 2)), 0, h - 1)
-    x = np.clip(np.add.outer(np.add.outer(np.arange(wide), xs[:-1]), np.arange(-1, 2)), 0, w - 1)
-    index = y[:, :, None, None, None, :, None] * w + x[:, :, None, None, :] + h * w * np.arange(tile)[:, None, None]
+    weights = np.zeros((max(k, 2), 9 * c))
+    weights[:k] = m.filters.reshape(k, 9 * c)
+    # flat pixel of tap (dy, dx) at each (row, column, image), clamped to the edge
+    y, x = (np.clip(np.add.outer(np.arange(size), np.arange(-1, 2)), 0, size - 1) for size in (h, w))
+    index = y[:, None, None, :, None] * w + x[:, None, None, :] + h * w * np.arange(tile)[:, None, None]
     taps = np.empty(index.shape + (c,))
-    acts = np.empty((tall, wide, g, tile, k))
+    acts = np.empty((ys[-1] - ys[-2], w, tile, len(weights)))  # the last band is the tallest
     for start in range(0, n, FEATURE_CHUNK):
         chunk = slice(start, start + FEATURE_CHUNK)
-        size = min(tile, n - start)
         np.take(images[chunk].reshape(-1, c), index, axis=0, out=taps, mode="clip")
         for band in range(g):
-            out = np.matmul(taps[band].reshape(-1, 9 * c), m.filters.reshape(k, 9 * c).T, out=acts.reshape(-1, k))
+            rows = slice(ys[band], ys[band + 1])
+            out = acts[:rows.stop - rows.start]
+            np.matmul(taps[rows].reshape(-1, 9 * c), weights.T, out=out.reshape(-1, len(weights)))
             np.maximum(out, 0.0, out=out)
-            for cell in range(g):
-                rows, cols = slice(ys[band], ys[band + 1]), slice(xs[cell], xs[cell + 1])
-                yield chunk, band, cell, rows, cols, acts[:rows.stop - rows.start, :cols.stop - cols.start, cell, :size]
+            yield chunk, band, rows, out[:, :, :min(tile, n - start)]
 
 
 def _features(m: ToyModel, images) -> np.ndarray:
     """Pooled activations plus a trailing bias column of ones, one row per
-    image, flattened as (row band, col band, filter)."""
+    image, flattened as (row band, col band, filter).  Cell (band, cell) is
+    the mean of its band's activations over columns w * cell // g up to
+    w * (cell + 1) // g."""
+    k, g = len(m.filters), m.pool_grid
     feats = np.ones((len(images), m.head.shape[0]))
-    cells = feats[:, :-1].reshape(len(feats), m.pool_grid, m.pool_grid, len(m.filters))
-    for chunk, band, cell, _, _, acts in _conv_cells(m, images):
-        cells[chunk, band, cell] = acts.mean(axis=(0, 1))
+    cells = feats[:, :-1].reshape(len(feats), g, g, k)
+    for chunk, band, _, acts in _conv_bands(m, images):
+        w = acts.shape[1]
+        for cell in range(g):
+            cells[chunk, band, cell] = acts[:, w * cell // g:w * (cell + 1) // g].mean(axis=(0, 1))[:, :k]
     return feats
 
 
@@ -182,8 +187,8 @@ def predict(m: ToyModel, images) -> np.ndarray:
 
 def first_layer(m: ToyModel, images) -> np.ndarray:
     out = np.empty(np.shape(images)[:3] + (len(m.filters),))
-    for chunk, _, _, rows, cols, acts in _conv_cells(m, images):
-        out[chunk, rows, cols] = acts.transpose(2, 0, 1, 3)
+    for chunk, _, rows, acts in _conv_bands(m, images):
+        out[chunk, rows] = acts[..., :len(m.filters)].transpose(2, 0, 1, 3)
     return out
 
 
@@ -279,13 +284,11 @@ def train(m: ToyModel, d: LabeledDataset, cfg: TrainConfig, workers: int = 1) ->
     return ToyModel(filters=m.filters, head=head, pool_grid=m.pool_grid)
 
 
-def synth_dataset(seed: int, n: int, kind: str = "low_freq_vs_high_freq") -> LabeledDataset:
+def synth_dataset(seed: int, n: int) -> LabeledDataset:
     """n 32x32 grayscale gratings, label i % 2; class 0 draws a low lattice
     frequency, class 1 a high one.  Per example the (seed, i, "synth")
     stream yields the frequency choice, a uniform phase, and the background
     noise field, in that order."""
-    if kind not in SYNTH_KINDS:
-        raise ValueError(f"unknown dataset kind: {kind!r}")
     if n < 2:
         raise ValueError("need at least 2 examples")
     size = SYNTH_SIZE

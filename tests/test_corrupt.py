@@ -14,7 +14,6 @@ from robustaug.corrupt import (
     SIGMA_SUITE,
     CorruptionSpec,
     corrupt,
-    format_severity_table,
     gaussian_eval_suite,
     parse_severity_table,
     resolve_param,
@@ -22,6 +21,47 @@ from robustaug.corrupt import (
 )
 from robustaug.images import LabeledDataset, clip_unit
 from robustaug.rng import derive_stream
+
+
+# DEFAULT_SEVERITY as a severity table file
+DEFAULT_TABLE = """\
+# kind level parameter
+brightness 1 0.05
+brightness 2 0.1
+brightness 3 0.15
+brightness 4 0.2
+brightness 5 0.3
+contrast 1 0.75
+contrast 2 0.5
+contrast 3 0.4
+contrast 4 0.3
+contrast 5 0.15
+defocus_blur 1 1.0
+defocus_blur 2 2.0
+defocus_blur 3 3.0
+defocus_blur 4 4.0
+defocus_blur 5 6.0
+gaussian_noise 1 0.04
+gaussian_noise 2 0.06
+gaussian_noise 3 0.08
+gaussian_noise 4 0.09
+gaussian_noise 5 0.1
+impulse_noise 1 0.01
+impulse_noise 2 0.02
+impulse_noise 3 0.03
+impulse_noise 4 0.05
+impulse_noise 5 0.07
+pixelate 1 2.0
+pixelate 2 4.0
+pixelate 3 8.0
+pixelate 4 12.0
+pixelate 5 16.0
+shot_noise 1 500.0
+shot_noise 2 250.0
+shot_noise 3 100.0
+shot_noise 4 75.0
+shot_noise 5 50.0
+"""
 
 
 def random_image(seed, h=16, w=16, c=3):
@@ -259,8 +299,7 @@ def test_unknown_kind_and_domain_errors():
 
 
 def test_severity_table_round_trip():
-    text = format_severity_table(DEFAULT_SEVERITY)
-    parsed = parse_severity_table(text)
+    parsed = parse_severity_table(DEFAULT_TABLE)
     assert parsed == {k: tuple(map(float, v)) for k, v in DEFAULT_SEVERITY.items()}
 
 
@@ -276,7 +315,7 @@ def test_severity_table_validation():
 
 
 def test_severity_table_rejects_a_repeated_level():
-    text = format_severity_table(DEFAULT_SEVERITY) + "gaussian_noise 1 0.15\ngaussian_noise 1 0.1\n"
+    text = DEFAULT_TABLE + "gaussian_noise 1 0.15\ngaussian_noise 1 0.1\n"
     with pytest.raises(ValueError, match="repeated gaussian_noise level 1"):
         parse_severity_table(text)
     with pytest.raises(ValueError, match="line 2: repeated brightness level 1"):

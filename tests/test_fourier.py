@@ -17,7 +17,6 @@ from robustaug.fourier import (
     half_plane_frequencies,
     high_pass,
     idft2,
-    parse_heatmap_csv,
     perturb_with_basis,
     render_heatmap,
     sensitivity_heatmap,
@@ -384,29 +383,27 @@ def test_heatmap_errors():
 def test_heatmap_csv_round_trip():
     hm = FourierHeatmap(
         probe="test_error", norm=4.0, seed=9,
-        grid={(0, 0): 0.25, (-1, 2): 0.5, (1, 1): 0.125},
+        grid={(0, 0): 0.25, (-1, 2): 0.5, (1, 1): 1 / 3},
     )
-    text = format_heatmap_csv(hm)
-    lines = text.splitlines()
+    lines = format_heatmap_csv(hm).splitlines()
     assert lines[0] == "# probe=test_error v=4.0 seed=9"
     assert lines[1] == "i,j,value"
-    assert lines[2].startswith("-1,2,")  # rows sorted by frequency
-    back = parse_heatmap_csv(text)
-    assert back.grid == hm.grid
-    assert back.norm == hm.norm and back.seed == hm.seed and back.probe == hm.probe
-    assert format_heatmap_csv(back) == text
+    rows = [line.split(",") for line in lines[2:]]
+    assert [(int(i), int(j)) for i, j, _ in rows] == sorted(hm.grid)  # rows sorted by frequency
+    assert {(int(i), int(j)): float(v) for i, j, v in rows} == hm.grid
 
 
 def test_heatmap_csv_absolute_column():
     hm = FourierHeatmap(
         probe="first_layer", norm=1.5, seed=2,
         grid={(0, 0): 0.5, (0, 1): 0.25},
-        absolute={(0, 0): 4.0, (0, 1): 2.0},
+        absolute={(0, 0): 4.0, (0, 1): 2 / 3},
     )
-    text = format_heatmap_csv(hm)
-    assert text.splitlines()[1] == "i,j,value,absolute"
-    back = parse_heatmap_csv(text)
-    assert back.absolute == hm.absolute
+    lines = format_heatmap_csv(hm).splitlines()
+    assert lines[:2] == ["# probe=first_layer v=1.5 seed=2", "i,j,value,absolute"]
+    rows = [line.split(",") for line in lines[2:]]
+    assert {(int(i), int(j)): float(v) for i, j, v, _ in rows} == hm.grid
+    assert {(int(i), int(j)): float(a) for i, j, _, a in rows} == hm.absolute
 
 
 def test_render_heatmap_mirrors_and_normalizes():

@@ -6,26 +6,19 @@ import numpy as np
 import pytest
 
 from robustaug.cli import parse_config
-from robustaug.corrupt import DEFAULT_SEVERITY, format_severity_table, parse_severity_table
-from robustaug.fourier import FourierHeatmap, format_heatmap_csv, parse_heatmap_csv
+from robustaug.corrupt import parse_severity_table
 from robustaug.images import decode_tensor, encode_tensor
 from robustaug.model import decode_model, encode_model, init_toy_model
 
-
-def _heatmap_text() -> str:
-    hm = FourierHeatmap(probe="first_layer", norm=4.0, seed=3,
-                        grid={(0, 0): 0.25, (-1, 2): 0.5}, absolute={(0, 0): 1.5, (-1, 2): 2.0})
-    return format_heatmap_csv(hm)
+from test_corrupt import DEFAULT_TABLE
 
 
 # name -> (parser taking bytes, valid payload)
 PAYLOADS = {
     "imgt": (decode_tensor, encode_tensor(np.random.default_rng(1).random((4, 3, 3)))),
     "toym": (decode_model, encode_model(init_toy_model(2, 2, 1, 2, 2))),
-    "heatmap_csv": (lambda b: parse_heatmap_csv(b.decode("latin-1")), _heatmap_text().encode("ascii")),
     "config": (lambda b: parse_config(b.decode("latin-1")), b"seed=3\nkind = patch_gaussian\n# note\npad=4\n"),
-    "severity_table": (lambda b: parse_severity_table(b.decode("latin-1")),
-                       format_severity_table(DEFAULT_SEVERITY).encode("ascii")),
+    "severity_table": (lambda b: parse_severity_table(b.decode("latin-1")), DEFAULT_TABLE.encode("ascii")),
 }
 
 
@@ -56,25 +49,11 @@ def test_malformed_payloads_raise_only_value_error(name):
     assert rejected > 0
 
 
-@pytest.mark.parametrize("text", [
-    "# probe=test_error v=4.0\ni,j,value\n0,0,0.5\n",
-    "# probe=test_error v=4.0 seed=1\ni,j,value\n0,0\n",
-    "# probe=test_error v=4.0 seed=1\ni,j,value\n0,0,0.5,1.0,2.0\n",
-    "# probe=first_layer v=1.0 seed=2\ni,j,value,absolute\n0,0,0.5,1.0\n0,1,0.25\n",
-    "# probe=test_error v=4.0 seed=1\ni,j\n0,0\n",
-], ids=["no_seed", "short_row", "long_row", "row_without_absolute", "no_value_column"])
-def test_heatmap_csv_missing_field_is_a_value_error(text):
-    # Each of these used to raise KeyError or IndexError, or parse into a
-    # heatmap that format_heatmap_csv could not write back.
-    with pytest.raises(ValueError):
-        parse_heatmap_csv(text)
-
-
 @pytest.mark.parametrize("token", ["nan", "inf", "-inf", "NaN", "+Infinity"])
 def test_severity_table_non_finite_parameter_is_a_value_error(token):
     # float() accepts these tokens, and byte flips of a valid table cannot
     # produce them; "nan" used to parse because it fails no comparison.
-    lines = format_severity_table(DEFAULT_SEVERITY).splitlines()
+    lines = DEFAULT_TABLE.splitlines()
     for i in range(1, len(lines)):
         kind, level, _ = lines[i].split()
         bad = lines[:i] + [f"{kind} {level} {token}"] + lines[i + 1:]
