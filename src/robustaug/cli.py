@@ -22,7 +22,7 @@ train (the epochs of a noise arm), fourier (the heatmap frequencies) and
 corrupt --suite (the sigmas) spread their work over that many forked
 processes with one BLAS thread each, and give the same bytes at every
 worker count.  Where fork is missing they run sequentially and warn once;
-the other commands work on the whole dataset as one batch.
+the other commands run in one process, a chunk of images at a time.
 """
 
 import argparse
@@ -104,7 +104,8 @@ def _read_ints(path) -> np.ndarray:
 
 
 def load_dataset(path) -> LabeledDataset:
-    """CIFAR binary batch file, or a directory of .imgt tensors + labels.txt."""
+    """CIFAR binary batch file, or a directory of equally shaped .imgt
+    tensors + labels.txt."""
     p = Path(path)
     if p.is_dir():
         labels = _read_ints(p / "labels.txt")
@@ -113,7 +114,13 @@ def load_dataset(path) -> LabeledDataset:
             raise ValueError(f"{p}: {files} .imgt files for {len(labels)} labels")
         if len(labels) == 0:
             raise ValueError(f"{p}: empty dataset, labels.txt lists no images")
-        images = np.stack([decode_tensor((p / _image_name(i)).read_bytes()) for i in range(len(labels))])
+        images = np.empty((len(labels),) + decode_tensor((p / _image_name(0)).read_bytes()).shape)
+        for i in range(len(labels)):
+            image = decode_tensor((p / _image_name(i)).read_bytes())
+            if image.shape != images.shape[1:]:
+                raise ValueError(f"{p / _image_name(i)}: shape {image.shape} differs from {images.shape[1:]} of "
+                                 f"{_image_name(0)}")
+            images[i] = image
         return LabeledDataset(images, labels)
     d = read_cifar10_batch(p.read_bytes())
     if len(d) == 0:
@@ -210,8 +217,10 @@ def _augment_spec(args, d: LabeledDataset) -> AugmentSpec:
 def cmd_augment(args) -> int:
     d = load_dataset(_req(args, "input"))
     spec = _augment_spec(args, d)
-    images = np.concatenate([run_pipeline_batch(d.images[rows.start:rows.stop], spec, args.seed, rows, "augment")
-                             for rows in lockstep_groups(len(d))])
+    images = np.empty_like(d.images)
+    for rows in lockstep_groups(len(d)):
+        group = slice(rows.start, rows.stop)
+        images[group] = run_pipeline_batch(d.images[group], spec, args.seed, rows, "augment")
     write_dataset(LabeledDataset(images, d.labels.copy()), _req(args, "output"))
     if args.sheet is not None:
         _atomic_write(args.sheet, write_ppm(_contact_sheet(images)))

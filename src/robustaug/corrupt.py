@@ -35,7 +35,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .augment import gaussian_batch
-from .images import LabeledDataset, clip_unit
+from .images import LabeledDataset
 from .rng import derive_states, lockstep_fields, lockstep_groups, next_units
 
 CORRUPTION_KINDS = (
@@ -165,7 +165,7 @@ def _shot_noise(images: np.ndarray, lam: float, states: np.ndarray) -> np.ndarra
     # Exact inverse-transform Poisson: k = F^{-1}(u) at mean img*lam.
     counts = stats.poisson.ppf(u, images * lam)
     counts = np.maximum(counts, 0.0)  # ppf(0) reports -1; floor it at zero
-    return clip_unit(counts / lam)
+    return counts / lam
 
 
 def _impulse_noise(images: np.ndarray, p: float, states: np.ndarray) -> np.ndarray:
@@ -176,12 +176,10 @@ def _impulse_noise(images: np.ndarray, p: float, states: np.ndarray) -> np.ndarr
     return out
 
 
-_NOISE = {"gaussian_noise": _gaussian_noise, "shot_noise": _shot_noise, "impulse_noise": _impulse_noise}
-
-
 def _contrast(images: np.ndarray, c: float) -> np.ndarray:
     m = images.mean(axis=(1, 2), keepdims=True)
-    return clip_unit((images - m) * c + m)
+    out = images - m
+    return np.add(np.multiply(out, c, out=out), m, out=out)  # (images - m) * c + m in one array
 
 
 def _disk_kernel(radius: float) -> np.ndarray:
@@ -195,19 +193,25 @@ def _disk_kernel(radius: float) -> np.ndarray:
 def _defocus_blur(images: np.ndarray, radius: float) -> np.ndarray:
     from scipy import ndimage  # imported here for the reason given in _shot_noise
     kernel = _disk_kernel(radius)[None, :, :, None]
-    return clip_unit(ndimage.convolve(images, kernel, mode="nearest"))
+    return ndimage.convolve(images, kernel, mode="nearest")
 
 
-def _pixelate(images: np.ndarray, k: int) -> np.ndarray:
+def _pixelate(images: np.ndarray, factor: float) -> np.ndarray:
     _, h, w, _ = images.shape
+    k = int(factor)
     ys = np.arange(0, h, k)
     xs = np.arange(0, w, k)
     sums = np.add.reduceat(np.add.reduceat(images, ys, axis=1), xs, axis=2)
     heights = np.minimum(ys + k, h) - ys
     widths = np.minimum(xs + k, w) - xs
     means = sums / (heights[:, None, None] * widths[None, :, None])
-    up = np.repeat(np.repeat(means, heights, axis=1), widths, axis=2)
-    return clip_unit(up)
+    return np.repeat(np.repeat(means, heights, axis=1), widths, axis=2)
+
+
+# Every kind as f(images, param), plus states for the noise kinds; corrupt clips the result.
+_KINDS = {"gaussian_noise": _gaussian_noise, "shot_noise": _shot_noise, "impulse_noise": _impulse_noise,
+          "brightness": lambda images, shift: images + shift, "contrast": _contrast, "defocus_blur": _defocus_blur,
+          "pixelate": _pixelate}
 
 
 def corrupt(
@@ -218,30 +222,25 @@ def corrupt(
     tag: str = "",
     table: dict | None = None,
 ) -> np.ndarray:
-    """Apply one corruption to a batch of images, shape (n, h, w, c). Noise
-    kinds require a seed: image j draws from the (seed, indices[j], tag)
-    stream, indices holding one entry per image and defaulting to range(n)."""
+    """Apply one corruption to a batch of images, shape (n, h, w, c), per
+    lockstep group, clipped to [0, 1] into one output array. Noise kinds
+    require a seed: image j draws from the (seed, indices[j], tag) stream,
+    indices holding one entry per image and defaulting to range(n)."""
     if images.ndim != 4:
         raise ValueError("expected an (n, h, w, c) image batch")
     param = resolve_param(spec, table)
     _check_domain(spec.kind, param)
-    if spec.kind == "brightness":
-        return clip_unit(images + param)
-    if spec.kind == "contrast":
-        return _contrast(images, param)
-    if spec.kind == "defocus_blur":
-        return _defocus_blur(images, param)
-    if spec.kind == "pixelate":
-        return _pixelate(images, int(param))
-    if seed is None:
+    noise = spec.kind in NOISE_KINDS
+    if noise and seed is None:
         raise ValueError(f"{spec.kind} requires an rng seed")
     indices = range(len(images)) if indices is None else indices
-    if len(indices) != len(images):
+    if noise and len(indices) != len(images):
         raise ValueError(f"{len(indices)} indices for {len(images)} images")
     out = np.empty_like(images)
     for rows in lockstep_groups(len(images)):
         group = slice(rows.start, rows.stop)
-        out[group] = _NOISE[spec.kind](images[group], param, derive_states(seed, indices[group], tag))
+        states = (derive_states(seed, indices[group], tag),) if noise else ()
+        np.clip(_KINDS[spec.kind](images[group], param, *states), 0.0, 1.0, out=out[group])
     return out
 
 

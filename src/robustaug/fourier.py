@@ -21,16 +21,16 @@ import numpy as np
 from .images import LabeledDataset, clip_unit
 from .metrics import accuracy
 from .parallel import indexed_map
-from .rng import derive_states, next_units
+from .rng import derive_states, lockstep_groups, next_units
 
 PROBES = ("test_error", "first_layer")
 
 _IMAG_LIMIT = 1e-6
 
-# Images per first_layer call of the first_layer probe.  It bounds the
-# activation arrays the probe holds for any model (one chunk's clean and
-# perturbed activations per frequency), and the per-image norms it keeps do
-# not depend on it.
+# Images per first_layer call of the first_layer probe and per transform of
+# high_pass.  It bounds the activation arrays the probe holds for any model
+# (one chunk's clean and perturbed activations per frequency) and the
+# complex spectra of high_pass; neither result depends on it.
 _PROBE_CHUNK = 16
 
 
@@ -157,8 +157,15 @@ def perturb_with_basis(images: np.ndarray, basis: np.ndarray, v: float, states) 
     return clip_unit(images + (signs * v)[:, None, None, None] * basis[None, :, :, None])
 
 
-def _activation_norms(acts: np.ndarray) -> np.ndarray:
-    return np.linalg.norm(np.asarray(acts, dtype=np.float64).reshape(len(acts), -1), axis=1)
+def _activation_norms(model, images, minus=None) -> np.ndarray:
+    """Per-image norms of the first-layer activations of images, less those
+    of minus when given, computed _PROBE_CHUNK images at a time."""
+    norms = []
+    for c in (slice(start, start + _PROBE_CHUNK) for start in range(0, len(images), _PROBE_CHUNK)):
+        acts = np.asarray(model.first_layer(images[c]), dtype=np.float64)
+        acts = acts if minus is None else acts - model.first_layer(minus[c])
+        norms.append(np.linalg.norm(acts.reshape(len(acts), -1), axis=1))
+    return np.concatenate(norms)
 
 
 def sensitivity_heatmap(
@@ -175,10 +182,10 @@ def sensitivity_heatmap(
     freqs defaults to the canonical half plane of the dataset's image grid.
     Per-image streams are derived from (seed, index, "fourier/i,j"), so the
     result is independent of worker count and frequency order; each
-    frequency perturbs all images at once with perturb_with_basis, and with
-    workers > 1 the frequencies run in forked processes (indexed_map). The
-    first_layer probe keeps only per-image activation norms, computing
-    activations _PROBE_CHUNK images at a time.
+    frequency perturbs one lockstep group at a time with perturb_with_basis,
+    and with workers > 1 the frequencies run in forked processes
+    (indexed_map). The first_layer probe keeps only per-image activation
+    norms, computing activations _PROBE_CHUNK images at a time.
     """
     if probe not in PROBES:
         raise ValueError(f"unknown probe: {probe}")
@@ -188,27 +195,22 @@ def sensitivity_heatmap(
         raise ValueError("probe unsupported by model")
     n, h, w, _ = d.images.shape
     freq_list = list(freqs) if freqs is not None else half_plane_frequencies(h, w)
-
-    chunks = [slice(start, start + _PROBE_CHUNK) for start in range(0, n, _PROBE_CHUNK)]
-
-    def acts(images):
-        return np.asarray(model.first_layer(images), dtype=np.float64)
-
     if probe == "first_layer":
-        clean_norm = float(np.mean(np.concatenate(
-            [_activation_norms(acts(d.images[c])) for c in chunks])))
+        clean_norm = float(np.mean(_activation_norms(model, d.images)))
         if clean_norm <= 0.0:
             raise ValueError("zero clean activation norm")
 
+    def perturbed_groups(i, j):
+        basis = fourier_basis(h, w, i, j)
+        for group in lockstep_groups(n):
+            rows = slice(group.start, group.stop)
+            yield rows, perturb_with_basis(d.images[rows], basis, v, derive_states(seed, group, f"fourier/{i},{j}"))
+
     def probe_frequency(fi):
-        i, j = freq_list[fi]
-        states = derive_states(seed, range(n), f"fourier/{i},{j}")
-        perturbed = perturb_with_basis(d.images, fourier_basis(h, w, i, j), v, states)
+        groups = perturbed_groups(*freq_list[fi])
         if probe == "test_error":
-            return 1.0 - accuracy(model.predict(perturbed), d.labels), None
-        delta = np.concatenate(
-            [_activation_norms(acts(perturbed[c]) - acts(d.images[c])) for c in chunks])
-        mean_delta = float(np.mean(delta))
+            return 1.0 - accuracy(np.concatenate([model.predict(p) for _, p in groups]), d.labels), None
+        mean_delta = float(np.mean(np.concatenate([_activation_norms(model, p, d.images[rows]) for rows, p in groups])))
         return mean_delta / clean_norm, mean_delta
 
     values = list(indexed_map(probe_frequency, len(freq_list), workers=workers))
@@ -239,14 +241,18 @@ def high_pass(images: np.ndarray, radius: float) -> np.ndarray:
     """Zero every spectrum coefficient strictly closer than radius to the
     zero frequency, per channel, and invert, for one (h, w, c) image or an
     (n, h, w, c) stack.  radius = 0 removes nothing and returns the input
-    unchanged."""
+    unchanged; images are transformed _PROBE_CHUNK at a time into one array."""
     if images.ndim not in (3, 4):
         raise ValueError("expected an image tensor or a stack of them")
     if radius < 0:
         raise ValueError("negative radius")
     if radius == 0.0:
         return images.copy()
-    return clip_unit(_high_pass_raw(images, radius))
+    stack = images.reshape((-1,) + images.shape[-3:])
+    out = np.empty(stack.shape)
+    for c in (slice(start, start + _PROBE_CHUNK) for start in range(0, len(stack), _PROBE_CHUNK)):
+        np.clip(_high_pass_raw(stack[c], radius), 0.0, 1.0, out=out[c])
+    return out.reshape(images.shape)
 
 
 def format_heatmap_csv(hm: FourierHeatmap) -> str:

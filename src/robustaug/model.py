@@ -164,25 +164,34 @@ def _conv_bands(m: ToyModel, images):
             yield chunk, band, rows, out[:, :, :min(tile, n - start)]
 
 
-def _features(m: ToyModel, images) -> np.ndarray:
+def _features(m: ToyModel, images, out=None) -> np.ndarray:
     """Pooled activations plus a trailing bias column of ones, one row per
-    image, flattened as (row band, col band, filter).  Cell (band, cell) is
-    the mean of its band's activations over columns w * cell // g up to
-    w * (cell + 1) // g."""
+    image, flattened as (row band, col band, filter), into out if given.
+    Cell (band, cell) is the mean of its band's activations over columns
+    w * cell // g up to w * (cell + 1) // g: its sum, reduced over all
+    max(k, 2) filters as np.mean would, over its pixel count, divided last."""
     k, g = len(m.filters), m.pool_grid
-    feats = np.ones((len(images), m.head.shape[0]))
+    feats = np.empty((len(images), m.head.shape[0])) if out is None else out
+    feats[:, -1] = 1.0
     cells = feats[:, :-1].reshape(len(feats), g, g, k)
+    sums = np.empty((g, FEATURE_CHUNK, max(k, 2)))
     for chunk, band, _, acts in _conv_bands(m, images):
-        w = acts.shape[1]
+        _, w, t, _ = acts.shape
         for cell in range(g):
-            cells[chunk, band, cell] = acts[:, w * cell // g:w * (cell + 1) // g].mean(axis=(0, 1))[:, :k]
+            np.add.reduce(acts[:, w * cell // g:w * (cell + 1) // g], axis=(0, 1), out=sums[cell, :t])
+        cells[chunk, band] = sums[:, :t, :k].transpose(1, 0, 2)
+    heights, widths = (np.diff([size * i // g for i in range(g + 1)]) for size in np.shape(images)[1:3])
+    feats[:, :-1] /= np.repeat(np.outer(heights, widths), k)  # dividing the 4-d cells view would copy it
     return feats
 
 
 def predict(m: ToyModel, images) -> np.ndarray:
-    """Argmax labels; ties break toward the lowest class index."""
-    z = _features(m, images) @ m.head
-    return np.argmax(z, axis=1).astype(np.int64)
+    """Argmax labels per lockstep group; ties break toward the lowest class."""
+    labels = np.empty(len(images), dtype=np.int64)
+    for group in lockstep_groups(len(images)):
+        rows = slice(group.start, group.stop)
+        labels[rows] = np.argmax(_features(m, images[rows]) @ m.head, axis=1)
+    return labels
 
 
 def first_layer(m: ToyModel, images) -> np.ndarray:
@@ -263,7 +272,9 @@ def train(m: ToyModel, d: LabeledDataset, cfg: TrainConfig, workers: int = 1) ->
     head = m.head.copy()
     cache = None
     if flip_only(cfg.augment):
-        cache = np.concatenate([_features(m, d.images), _features(m, mirror(d.images))])
+        cache = np.empty((2 * n, m.head.shape[0]))
+        _features(m, d.images, out=cache[:n])
+        _features(m, mirror(d.images), out=cache[n:])
         workers = 1
     orders = np.concatenate([permutations(derive_states(cfg.seed, epochs, "shuffle"), n)
                              for epochs in lockstep_groups(cfg.epochs)])

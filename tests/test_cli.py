@@ -13,7 +13,7 @@ import pytest
 
 from robustaug.cli import _contact_sheet, load_dataset, main, parse_config
 from robustaug.corrupt import SIGMA_SUITE
-from robustaug.images import decode_tensor
+from robustaug.images import decode_tensor, encode_tensor
 from robustaug.model import decode_model
 
 
@@ -50,6 +50,15 @@ def test_load_rejects_stale_images_of_a_larger_dataset(tmp_path, capsys):
         load_dataset(d)
     assert run("augment", "--input", d, "--output", tmp_path / "aug") == 1
     assert "8 .imgt files for 5 labels" in capsys.readouterr().err
+
+
+def test_load_names_an_image_shaped_unlike_the_first(tmp_path, capsys):
+    d = make_synth(tmp_path, count=5)
+    (d / "00003.imgt").write_bytes(encode_tensor(np.zeros((32, 31, 1))))
+    with pytest.raises(ValueError, match=r"00003\.imgt: shape \(32, 31, 1\) differs from \(32, 32, 1\) of 00000\.imgt"):
+        load_dataset(d)
+    assert run("highpass", "--input", d, "--output", tmp_path / "hp", "--radius", 2) == 1
+    assert "00003.imgt: shape (32, 31, 1)" in capsys.readouterr().err
 
 
 def test_smaller_dataset_replaces_a_larger_one(tmp_path):

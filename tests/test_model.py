@@ -295,9 +295,9 @@ def test_train_computes_features_once_per_lockstep_group(monkeypatch):
     monkeypatch.setattr(rng_module, "LOCKSTEP_STREAMS", 16)
     calls = []
 
-    def counted(m, images):
+    def counted(m, images, out=None):
         calls.append(len(images))
-        return _features(m, images)
+        return _features(m, images, out)
 
     monkeypatch.setattr(model_module, "_features", counted)
     d = LabeledDataset(np.random.default_rng(8).random((130, 8, 8, 1)), np.arange(130) % 2)
