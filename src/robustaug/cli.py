@@ -44,6 +44,7 @@ from .corrupt import (
     parse_severity_table,
 )
 from .fourier import (
+    PROBES,
     format_heatmap_csv,
     half_plane_frequencies,
     high_pass,
@@ -53,6 +54,7 @@ from .fourier import (
 from .images import (
     LabeledDataset,
     channel_mean,
+    check_encodable,
     decode_tensor,
     encode_tensor,
     read_cifar10_batch,
@@ -131,16 +133,23 @@ def load_dataset(path) -> LabeledDataset:
 def write_dataset(d: LabeledDataset, out_dir) -> None:
     """Write d as out_dir/NNNNN.imgt plus labels.txt, then delete the image
     files a larger dataset left there, so load_dataset reads d back."""
-    # encode everything before the first write so failures leave no files
-    files = [(_image_name(i), encode_tensor(d.images[i])) for i in range(len(d))]
-    files.append(("labels.txt", ("\n".join(str(int(x)) for x in d.labels) + "\n").encode("ascii")))
+    check_encodable(d.images)  # before the first write, so a failure leaves no files
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
-    for name, data in files:
-        _atomic_write(out / name, data)
+    for i in range(len(d)):  # one encoded file at a time
+        _atomic_write(out / _image_name(i), encode_tensor(d.images[i]))
+    _atomic_write(out / "labels.txt", ("\n".join(str(int(x)) for x in d.labels) + "\n").encode("ascii"))
     for path in out.glob("*.imgt"):
         if path.stem.isdigit() and int(path.stem) >= len(d) and path.name == _image_name(int(path.stem)):
             path.unlink()
+
+
+def _parse_file(path, parse):
+    """parse(the text of the file at path), its ValueError raised again naming the file."""
+    try:
+        return parse(Path(path).read_text())
+    except ValueError as e:
+        raise ValueError(f"{path}: {e}") from None
 
 
 def _write_report(args, report: dict) -> None:
@@ -162,12 +171,12 @@ def _contact_sheet(images: np.ndarray) -> np.ndarray:
 def parse_config(text: str) -> dict:
     """Flat key=value lines; blank lines and # comments are ignored."""
     cfg = {}
-    for line in text.splitlines():
+    for no, line in enumerate(text.splitlines(), 1):
         s = line.strip()
         if not s or s.startswith("#"):
             continue
         if "=" not in s:
-            raise ValueError(f"bad config line: {line!r}")
+            raise ValueError(f"bad config line {no}: {line!r}")
         key, val = s.split("=", 1)
         cfg[key.strip().replace("-", "_")] = val.strip()
     return cfg
@@ -178,7 +187,7 @@ def _config_defaults(command: argparse.ArgumentParser, path) -> dict:
     option it names: its type and choices, or _BOOL for an on/off flag."""
     actions = {a.dest: a for a in command._actions if a.dest not in ("help", "config")}
     defaults = {}
-    for key, raw in parse_config(Path(path).read_text()).items():
+    for key, raw in _parse_file(path, parse_config).items():
         action = actions.get(key)
         if action is None:
             raise ValueError(f"{path}: {key} is not an option of {command.prog}")
@@ -240,12 +249,8 @@ def cmd_corrupt(args) -> int:
         print(f"wrote {len(SIGMA_SUITE)}-sigma suite for {len(d)} images")
         return 0
     kind = _req(args, "kind")
-    spec = CorruptionSpec(
-        kind=kind,
-        severity=args.severity,
-        param=args.param,
-    )
-    table = parse_severity_table(Path(args.table).read_text()) if args.table else None
+    spec = CorruptionSpec(kind, severity=args.severity, param=args.param)
+    table = _parse_file(args.table, parse_severity_table) if args.table else None
     images = corrupt(d.images, spec, args.seed, tag=f"corrupt/{kind}", table=table)
     write_dataset(LabeledDataset(images, d.labels.copy()), out)
     print(f"corrupted {len(d)} images ({kind})")
@@ -437,7 +442,7 @@ def _build_parser() -> tuple[argparse.ArgumentParser, dict]:
 
     p = sub.add_parser("fourier", parents=[common], help="sensitivity heatmap")
     p.add_argument("--model", help="TOYM checkpoint")
-    p.add_argument("--probe", choices=("test_error", "first_layer"), default="test_error")
+    p.add_argument("--probe", choices=PROBES, default="test_error")
     p.add_argument("--norm", type=float, help="perturbation l2 norm")
     p.add_argument("--max-freq", type=float, help="keep frequencies within this magnitude")
     p.add_argument("--ppm", help="optional PPM rendering path")

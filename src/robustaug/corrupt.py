@@ -7,17 +7,9 @@ the metrics module; kinds that need external assets or image codecs are out
 of scope.
 
 Severity levels 1..5 map to parameters through a severity table. The
-default table below is a toolkit convention tuned for 32x32-class images
-(stronger level = stronger corruption); swap in your own table file to
-reproduce an external benchmark. Strength direction per kind:
-
-    gaussian_noise   sigma, increasing
-    shot_noise       lambda (photons per unit intensity), decreasing
-    impulse_noise    replacement probability, increasing
-    brightness       additive shift, increasing
-    contrast         contrast factor, decreasing
-    defocus_blur     disk radius, increasing
-    pixelate         block factor, increasing
+default table, the last column of _KINDS below, is a toolkit convention
+tuned for 32x32-class images (stronger level = stronger corruption); swap
+in your own table file to reproduce an external benchmark.
 
 Randomized kinds consume their stream in a fixed order: gaussian_noise
 draws one normal per element (row-major, channel-interleaved); shot_noise
@@ -30,6 +22,7 @@ channels of the pixel.
 from __future__ import annotations
 
 import math
+from collections.abc import Callable
 from dataclasses import dataclass
 
 import numpy as np
@@ -37,39 +30,6 @@ import numpy as np
 from .augment import gaussian_batch
 from .images import LabeledDataset
 from .rng import derive_states, lockstep_fields, lockstep_groups, next_units
-
-CORRUPTION_KINDS = (
-    "gaussian_noise",
-    "shot_noise",
-    "impulse_noise",
-    "brightness",
-    "contrast",
-    "defocus_blur",
-    "pixelate",
-)
-
-NOISE_KINDS = ("gaussian_noise", "shot_noise", "impulse_noise")
-
-# +1: larger parameter = stronger corruption; -1: smaller = stronger.
-STRENGTH_DIRECTION = {
-    "gaussian_noise": 1,
-    "shot_noise": -1,
-    "impulse_noise": 1,
-    "brightness": 1,
-    "contrast": -1,
-    "defocus_blur": 1,
-    "pixelate": 1,
-}
-
-DEFAULT_SEVERITY = {
-    "gaussian_noise": (0.04, 0.06, 0.08, 0.09, 0.10),
-    "shot_noise": (500.0, 250.0, 100.0, 75.0, 50.0),
-    "impulse_noise": (0.01, 0.02, 0.03, 0.05, 0.07),
-    "brightness": (0.05, 0.10, 0.15, 0.20, 0.30),
-    "contrast": (0.75, 0.50, 0.40, 0.30, 0.15),
-    "defocus_blur": (1.0, 2.0, 3.0, 4.0, 6.0),
-    "pixelate": (2.0, 4.0, 8.0, 12.0, 16.0),
-}
 
 SIGMA_SUITE = (0.1, 0.2, 0.3, 0.5, 0.8, 1.0)
 
@@ -99,9 +59,8 @@ def validate_severity_table(table: dict) -> None:
             raise ValueError(f"{kind}: need exactly 5 severity parameters, got {len(params)}")
         for param in params:
             _check_domain(kind, param)  # rejects nan and inf as well
-        direction = STRENGTH_DIRECTION[kind]
         for a, b in zip(params, params[1:]):
-            if direction * (b - a) <= 0:
+            if _KINDS[kind].direction * (b - a) <= 0:
                 raise ValueError(f"{kind}: severity parameters are not strictly monotone")
 
 
@@ -141,16 +100,7 @@ def resolve_param(spec: CorruptionSpec, table: dict | None = None) -> float:
 
 
 def _check_domain(kind: str, param: float) -> None:
-    ok = math.isfinite(param) and {
-        "gaussian_noise": param >= 0,
-        "shot_noise": param > 0,
-        "impulse_noise": 0 <= param <= 1,
-        "brightness": -1 <= param <= 1,
-        "contrast": param >= 0,
-        "defocus_blur": param >= 0,
-        "pixelate": param >= 1 and float(param).is_integer(),
-    }[kind]
-    if not ok:
+    if not (math.isfinite(param) and _KINDS[kind].domain(param)):
         raise ValueError(f"parameter out of domain for {kind}: {param!r}")
 
 
@@ -208,10 +158,28 @@ def _pixelate(images: np.ndarray, factor: float) -> np.ndarray:
     return np.repeat(np.repeat(means, heights, axis=1), widths, axis=2)
 
 
-# Every kind as f(images, param), plus states for the noise kinds; corrupt clips the result.
-_KINDS = {"gaussian_noise": _gaussian_noise, "shot_noise": _shot_noise, "impulse_noise": _impulse_noise,
-          "brightness": lambda images, shift: images + shift, "contrast": _contrast, "defocus_blur": _defocus_blur,
-          "pixelate": _pixelate}
+@dataclass(frozen=True)
+class _Kind:
+    kernel: Callable  # f(images, param), plus states for a noise kind; corrupt clips the result
+    noise: bool
+    direction: int  # +1: a larger parameter is a stronger corruption; -1: a smaller one is
+    domain: Callable  # whether a finite parameter is in the kind's domain
+    severity: tuple  # the default parameters of levels 1..5
+
+
+# One row per kind; each kernel names its parameter. shot_noise's lam counts photons per unit intensity.
+_KINDS = {
+    "gaussian_noise": _Kind(_gaussian_noise, True, 1, lambda p: p >= 0, (0.04, 0.06, 0.08, 0.09, 0.10)),
+    "shot_noise": _Kind(_shot_noise, True, -1, lambda p: p > 0, (500.0, 250.0, 100.0, 75.0, 50.0)),
+    "impulse_noise": _Kind(_impulse_noise, True, 1, lambda p: 0 <= p <= 1, (0.01, 0.02, 0.03, 0.05, 0.07)),
+    "brightness": _Kind(lambda x, shift: x + shift, False, 1, lambda p: -1 <= p <= 1, (0.05, 0.10, 0.15, 0.20, 0.30)),
+    "contrast": _Kind(_contrast, False, -1, lambda p: p >= 0, (0.75, 0.50, 0.40, 0.30, 0.15)),
+    "defocus_blur": _Kind(_defocus_blur, False, 1, lambda p: p >= 0, (1.0, 2.0, 3.0, 4.0, 6.0)),
+    "pixelate": _Kind(_pixelate, False, 1, lambda p: p >= 1 and float(p).is_integer(), (2.0, 4.0, 8.0, 12.0, 16.0)),
+}
+CORRUPTION_KINDS = tuple(_KINDS)
+NOISE_KINDS = tuple(kind for kind, row in _KINDS.items() if row.noise)
+DEFAULT_SEVERITY = {kind: row.severity for kind, row in _KINDS.items()}
 
 
 def corrupt(
@@ -230,17 +198,17 @@ def corrupt(
         raise ValueError("expected an (n, h, w, c) image batch")
     param = resolve_param(spec, table)
     _check_domain(spec.kind, param)
-    noise = spec.kind in NOISE_KINDS
-    if noise and seed is None:
+    entry = _KINDS[spec.kind]
+    if entry.noise and seed is None:
         raise ValueError(f"{spec.kind} requires an rng seed")
     indices = range(len(images)) if indices is None else indices
-    if noise and len(indices) != len(images):
+    if entry.noise and len(indices) != len(images):
         raise ValueError(f"{len(indices)} indices for {len(images)} images")
     out = np.empty_like(images)
     for rows in lockstep_groups(len(images)):
         group = slice(rows.start, rows.stop)
-        states = (derive_states(seed, indices[group], tag),) if noise else ()
-        np.clip(_KINDS[spec.kind](images[group], param, *states), 0.0, 1.0, out=out[group])
+        states = (derive_states(seed, indices[group], tag),) if entry.noise else ()
+        np.clip(entry.kernel(images[group], param, *states), 0.0, 1.0, out=out[group])
     return out
 
 

@@ -75,16 +75,21 @@ def read_cifar10_batch(data: bytes) -> LabeledDataset:
     return LabeledDataset(images.astype(np.float64), labels)
 
 
+def check_encodable(t: np.ndarray) -> None:
+    """encode_tensor's checks of an (H,W,C) image, made on t or on every image of a stack t."""
+    h, w, c = t.shape[-3:]
+    if h < 1 or w < 1 or c not in (1, 3):
+        raise ValueError(f"bad dimensions: {t.shape[-3:]}")
+    if not np.isfinite(t).all():
+        raise ValueError("non-finite values")
+
+
 def encode_tensor(t: np.ndarray) -> bytes:
     """Serialize one image to IMGT bytes (values stored as float32)."""
     if t.ndim != 3:
         raise ValueError(f"shape mismatch: expected (H,W,C), got {t.shape}")
-    h, w, c = t.shape
-    if h < 1 or w < 1 or c not in (1, 3):
-        raise ValueError(f"bad dimensions: {t.shape}")
-    if not np.isfinite(t).all():
-        raise ValueError("non-finite values")
-    header = IMGT_MAGIC + struct.pack("<III", h, w, c)
+    check_encodable(t)
+    header = IMGT_MAGIC + struct.pack("<III", *t.shape)
     return header + np.ascontiguousarray(t, dtype="<f4").tobytes()
 
 

@@ -11,10 +11,10 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from robustaug.cli import _contact_sheet, load_dataset, main, parse_config
+from robustaug.cli import _contact_sheet, load_dataset, main, parse_config, write_dataset
 from robustaug.corrupt import SIGMA_SUITE
 from robustaug.images import decode_tensor, encode_tensor
-from robustaug.model import decode_model
+from robustaug.model import decode_model, synth_dataset
 
 
 def run(*argv):
@@ -386,6 +386,7 @@ def test_config_line_matches_its_flag(tmp_path, data_and_model, case):
     ("fourier", "probe=last_layer", "bad value for probe: 'last_layer'"),
     ("train", "epochs=2.5", "bad value for epochs: '2.5'"),
     ("augment", "sample-up-to=maybe", "bad value for sample_up_to: 'maybe'"),
+    ("augment", "# defaults\nseed=5\nseed 5", "bad config line 3: 'seed 5'"),
 ])
 def test_bad_config_line_exits_1_naming_the_key(tmp_path, capsys, data_and_model, command, text, named):
     data, ckpt = data_and_model
@@ -397,10 +398,29 @@ def test_bad_config_line_exits_1_naming_the_key(tmp_path, capsys, data_and_model
     assert not out.exists()
 
 
+def test_bad_severity_table_line_exits_1_naming_the_file_and_line(tmp_path, capsys):
+    d = make_synth(tmp_path, count=4)
+    table, out = tmp_path / "table.txt", tmp_path / "out"
+    table.write_text("brightness 1 0.05\nbrightness 2\n")
+    assert run("corrupt", "--input", d, "--output", out, "--kind", "brightness", "--severity", "1",
+               "--table", table) == 1
+    assert capsys.readouterr().err == (f"error: {table}: severity table line 2: "
+                                       "expected 'kind level parameter'\n")
+    assert not out.exists()
+
+
 def test_parse_config_rejects_garbage():
     with pytest.raises(ValueError, match="bad config line"):
         parse_config("seed 5\n")
     assert parse_config("a=1\n\n# note\nb-c = x\n") == {"a": "1", "b_c": "x"}
+
+
+def test_non_finite_image_mid_dataset_leaves_no_files(tmp_path):
+    d = synth_dataset(0, 9)
+    d.images[4, 7, 3, 0] = math.nan
+    with pytest.raises(ValueError, match="non-finite values"):
+        write_dataset(d, tmp_path / "out")
+    assert not (tmp_path / "out").exists()
 
 
 def test_failed_command_leaves_no_output(tmp_path, capsys):

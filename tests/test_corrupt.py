@@ -298,6 +298,29 @@ def test_unknown_kind_and_domain_errors():
         corrupt_one(img, CorruptionSpec(kind="gaussian_noise", param=0.1))
 
 
+# (kind, a parameter on an edge of its domain, the nearest float outside that edge)
+# for every bounded side of every kind's domain
+DOMAIN_EDGES = [
+    ("gaussian_noise", 0.0, -math.ulp(0.0)),
+    ("shot_noise", math.ulp(0.0), 0.0),
+    ("impulse_noise", 0.0, -math.ulp(0.0)),
+    ("impulse_noise", 1.0, math.nextafter(1.0, 2.0)),
+    ("brightness", -1.0, math.nextafter(-1.0, -2.0)),
+    ("brightness", 1.0, math.nextafter(1.0, 2.0)),
+    ("contrast", 0.0, -math.ulp(0.0)),
+    ("defocus_blur", 0.0, -math.ulp(0.0)),
+    ("pixelate", 1.0, 0.0),  # the nearest integer: pixelate takes integers only
+]
+
+
+@pytest.mark.parametrize("kind,edge,outside", DOMAIN_EDGES)
+def test_domain_edges(kind, edge, outside):
+    img = random_image(14, 4, 4, 1)
+    corrupt_one(img, CorruptionSpec(kind=kind, param=edge), 0, 0, "x")
+    with pytest.raises(ValueError, match=f"out of domain for {kind}"):
+        corrupt_one(img, CorruptionSpec(kind=kind, param=outside), 0, 0, "x")
+
+
 def test_severity_table_round_trip():
     parsed = parse_severity_table(DEFAULT_TABLE)
     assert parsed == {k: tuple(map(float, v)) for k, v in DEFAULT_SEVERITY.items()}

@@ -49,6 +49,12 @@ def test_load_dataset_decodes_into_one_array(tmp_path):
     assert peak_bytes(lambda: load_dataset(tmp_path)) <= 1.5 * d.images.nbytes
 
 
+def test_write_dataset_encodes_one_file_at_a_time(tmp_path):
+    # The encoded files of every image together are half the float64 bytes.
+    d = synth_dataset(4, 1024)
+    assert peak_bytes(lambda: write_dataset(d, tmp_path)) <= 0.25 * d.images.nbytes
+
+
 @pytest.mark.parametrize("kind", ["brightness", "contrast", "defocus_blur", "pixelate"])
 def test_corrupt_holds_its_output_and_one_lockstep_group(kind):
     # 1024 images make three groups; a whole-batch kind held two full copies.
