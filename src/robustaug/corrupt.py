@@ -186,14 +186,12 @@ def corrupt(
     images: np.ndarray,
     spec: CorruptionSpec,
     seed: int | None = None,
-    indices=None,
     tag: str = "",
     table: dict | None = None,
 ) -> np.ndarray:
     """Apply one corruption to a batch of images, shape (n, h, w, c), per
     lockstep group, clipped to [0, 1] into one output array. Noise kinds
-    require a seed: image j draws from the (seed, indices[j], tag) stream,
-    indices holding one entry per image and defaulting to range(n)."""
+    require a seed: image j draws from the (seed, j, tag) stream."""
     if images.ndim != 4:
         raise ValueError("expected an (n, h, w, c) image batch")
     param = resolve_param(spec, table)
@@ -201,13 +199,10 @@ def corrupt(
     entry = _KINDS[spec.kind]
     if entry.noise and seed is None:
         raise ValueError(f"{spec.kind} requires an rng seed")
-    indices = range(len(images)) if indices is None else indices
-    if entry.noise and len(indices) != len(images):
-        raise ValueError(f"{len(indices)} indices for {len(images)} images")
     out = np.empty_like(images)
     for rows in lockstep_groups(len(images)):
         group = slice(rows.start, rows.stop)
-        states = (derive_states(seed, indices[group], tag),) if entry.noise else ()
+        states = (derive_states(seed, rows, tag),) if entry.noise else ()
         np.clip(entry.kernel(images[group], param, *states), 0.0, 1.0, out=out[group])
     return out
 

@@ -209,13 +209,13 @@ def test_spectral_toolkit_guarantees():
 
     img = rng.random((32, 32))
     spec = dft2(img)
-    parseval = abs(np.sum(img ** 2) - np.sum(np.abs(spec.coefficients) ** 2)) < 1e-9
+    parseval = abs(np.sum(img ** 2) - np.sum(np.abs(spec) ** 2)) < 1e-9
 
     freqs = half_plane_frequencies(32, 32)
     basis_ok = True
     for fi, fj in freqs:
         basis = fourier_basis(32, 32, fi, fj)
-        support = int(np.count_nonzero(np.abs(dft2(basis).coefficients) > 1e-8))
+        support = int(np.count_nonzero(np.abs(dft2(basis)) > 1e-8))
         basis_ok = basis_ok and abs(np.linalg.norm(basis) - 1.0) < 1e-9 and support <= 2
 
     norm_ok = True
@@ -252,7 +252,7 @@ def test_spectral_toolkit_guarantees():
     keep_low = np.hypot(yy, xx) < radius
     for ch in range(3):
         s = dft2(color[:, :, ch])
-        s.coefficients[~keep_low] = 0.0
+        s[~keep_low] = 0.0
         low[:, :, ch] = idft2(s)
     complement = float(np.max(np.abs(hp + low - 0.5 - color))) < 1e-9
 
@@ -411,4 +411,13 @@ def test_cli_reruns_are_byte_identical(tmp_path):
                         "--output", maps[i], "--ppm", ppms[i]) == 0
     ok = ok and maps[0].read_bytes() == maps[1].read_bytes() == maps[2].read_bytes()
     ok = ok and ppms[0].read_bytes() == ppms[1].read_bytes() == ppms[2].read_bytes()
+    # 37 images make three first_layer probe chunks, so four workers fork three processes.
+    probed = tmp_path / "probed"
+    ok = ok and run("synth", "--output", probed, "--seed", 6, "--count", 37) == 0
+    layer_maps = [tmp_path / f"layer{i}.csv" for i in range(3)]
+    for i, workers in enumerate((1, 1, 4)):
+        ok = ok and run("fourier", "--input", probed, "--model", ckpt,
+                        "--probe", "first_layer", "--norm", 2.0, "--max-freq", 3,
+                        "--seed", 12, "--workers", workers, "--output", layer_maps[i]) == 0
+    ok = ok and layer_maps[0].read_bytes() == layer_maps[1].read_bytes() == layer_maps[2].read_bytes()
     _report(10, "deterministic command line", ok)

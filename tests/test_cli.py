@@ -423,6 +423,19 @@ def test_non_finite_image_mid_dataset_leaves_no_files(tmp_path):
     assert not (tmp_path / "out").exists()
 
 
+@pytest.mark.parametrize("value", [1e39, -1e39])
+def test_image_beyond_float32_mid_dataset_leaves_no_files(tmp_path, value):
+    # float32 stores such a finite float64 as inf, which load_dataset would refuse.
+    d = synth_dataset(0, 9)
+    d.images[4, 7, 3, 0] = value
+    with pytest.raises(ValueError, match="non-finite values as float32"):
+        write_dataset(d, tmp_path / "out")
+    assert not (tmp_path / "out").exists()
+    d.images[4, 7, 3, 0] = math.copysign(float(np.finfo(np.float32).max), value)  # the largest float32 is kept
+    write_dataset(d, tmp_path / "out")
+    assert load_dataset(tmp_path / "out").images[4, 7, 3, 0] == d.images[4, 7, 3, 0]
+
+
 def test_failed_command_leaves_no_output(tmp_path, capsys):
     d = make_synth(tmp_path)
     out = tmp_path / "never"

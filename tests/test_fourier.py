@@ -8,7 +8,6 @@ import pytest
 
 from robustaug.fourier import (
     FourierHeatmap,
-    Spectrum,
     centered_distances,
     conjugate_frequency,
     dft2,
@@ -23,6 +22,7 @@ from robustaug.fourier import (
     _high_pass_raw,
 )
 from robustaug.images import LabeledDataset
+from robustaug.model import init_toy_model
 from robustaug.rng import derive_states, derive_stream, next_units
 
 
@@ -69,14 +69,14 @@ def test_dft_matches_direct_summation():
     rng = np.random.default_rng(10)
     for shape in ((8, 8), (5, 7), (4, 6)):
         x = rng.random(shape)
-        got = dft2(x).coefficients
+        got = dft2(x)
         want = dft2_direct(x)
         assert np.max(np.abs(got - want)) < 1e-9
 
 
 def test_dft_constant_is_dc_only():
     x = np.full((6, 5), 0.3)
-    s = dft2(x).coefficients
+    s = dft2(x)
     assert abs(s[3, 2] - 0.3 * math.sqrt(30)) < 1e-9
     s[3, 2] = 0.0
     assert np.max(np.abs(s)) < 1e-9
@@ -85,7 +85,7 @@ def test_dft_constant_is_dc_only():
 def test_dft_impulse_flat_spectrum():
     x = np.zeros((4, 4))
     x[0, 0] = 1.0
-    mags = np.abs(dft2(x).coefficients)
+    mags = np.abs(dft2(x))
     assert np.max(np.abs(mags - 0.25)) < 1e-12
     assert np.max(np.abs(np.abs(dft2_direct(x)) - 0.25)) < 1e-12
 
@@ -97,13 +97,13 @@ def test_round_trip_and_parseval():
             x = rng.random(shape)
             s = dft2(x)
             assert np.max(np.abs(idft2(s) - x)) < 1e-9
-            assert abs(np.linalg.norm(s.coefficients) - np.linalg.norm(x)) < 1e-9
+            assert abs(np.linalg.norm(s) - np.linalg.norm(x)) < 1e-9
 
 
 def test_inverse_of_direct_oracle_matches():
     rng = np.random.default_rng(12)
     x = rng.random((5, 4))
-    back = idft2_direct(dft2(x).coefficients)
+    back = idft2_direct(dft2(x))
     assert np.max(np.abs(back.imag)) < 1e-9
     assert np.max(np.abs(back.real - x)) < 1e-9
 
@@ -112,12 +112,7 @@ def test_non_real_inverse_rejected():
     coeff = np.zeros((4, 4), dtype=complex)
     coeff[2, 3] = 1.0  # lone asymmetric coefficient
     with pytest.raises(ValueError, match="non-real inverse"):
-        idft2(Spectrum(4, 4, coeff))
-
-
-def test_spectrum_shape_check():
-    with pytest.raises(ValueError, match="shape mismatch"):
-        Spectrum(4, 4, np.zeros((3, 4), dtype=complex))
+        idft2(coeff)
 
 
 def test_basis_dc_is_constant():
@@ -130,7 +125,7 @@ def test_basis_unit_norm_and_support():
         for (i, j) in half_plane_frequencies(h, w):
             u = fourier_basis(h, w, i, j)
             assert abs(np.linalg.norm(u) - 1.0) < 1e-9
-            coeff = dft2(u).coefficients
+            coeff = dft2(u)
             hot = {tuple(p) for p in np.argwhere(np.abs(coeff) > 1e-9)}
             ci, cj = conjugate_frequency(h, w, i, j)
             expect = {(i + h // 2, j + w // 2), (ci + h // 2, cj + w // 2)}
@@ -282,7 +277,7 @@ def test_high_pass_stack_matches_single_images(c):
     for i in range(len(stack)):
         assert np.array_equal(got[i], high_pass(stack[i], 2.5))
         # The per-plane centered-spectrum filter, bit for bit.
-        planes = [idft2(Spectrum(9, 7, dft2(stack[i, :, :, ch]).coefficients * keep)) + 0.5 for ch in range(c)]
+        planes = [idft2(dft2(stack[i, :, :, ch]) * keep) + 0.5 for ch in range(c)]
         assert np.array_equal(got[i], np.clip(np.stack(planes, axis=2), 0.0, 1.0))
 
 
@@ -295,7 +290,7 @@ def test_band_complement_reconstruction():
         low = np.empty_like(img)
         for c in range(3):
             s = dft2(img[:, :, c])
-            low[:, :, c] = idft2(Spectrum(8, 8, s.coefficients * (dist < r)))
+            low[:, :, c] = idft2(s * (dist < r))
         assert np.max(np.abs(high + low - 0.5 - img)) < 1e-9
 
 
@@ -367,6 +362,40 @@ def test_heatmap_deterministic_and_worker_independent():
     b = sensitivity_heatmap(MeanPredictor(), d, 3.0, "test_error", seed=5, freqs=freqs)
     c = sensitivity_heatmap(MeanPredictor(), d, 3.0, "test_error", seed=5, freqs=freqs, workers=3)
     assert a.grid == b.grid == c.grid
+
+
+def first_layer_case():
+    """A 3-channel model and 37 images, which the first_layer probe takes in
+    chunks of 16, 16 and 5."""
+    rng = np.random.default_rng(19)
+    return init_toy_model(20, 4, 3, 2, 2), LabeledDataset(rng.random((37, 8, 8, 3)), rng.integers(0, 2, size=37))
+
+
+def test_first_layer_probe_matches_its_formula():
+    # Image by image: absolute is the mean of |first_layer(p_k) - first_layer(x_k)|,
+    # and the value divides it by the mean of |first_layer(x_k)|.
+    m, d = first_layer_case()
+    freqs = half_plane_frequencies(8, 8)[::5]
+    hm = sensitivity_heatmap(m, d, 2.0, "first_layer", seed=21, freqs=freqs)
+
+    def norm(a):  # the sum np.linalg.norm makes along an axis
+        return np.sqrt(np.sum(a * a))
+
+    clean = [m.first_layer(d.images[k:k + 1]) for k in range(len(d))]
+    for i, j in freqs:
+        basis = fourier_basis(8, 8, i, j)
+        perturbed = [perturb_with_basis(d.images[k:k + 1], basis, 2.0, derive_states(21, [k], f"fourier/{i},{j}"))
+                     for k in range(len(d))]
+        delta = np.mean([norm(m.first_layer(p) - c) for p, c in zip(perturbed, clean)])
+        assert hm.absolute[i, j] == delta
+        assert hm.grid[i, j] == delta / np.mean([norm(c) for c in clean])
+
+
+def test_first_layer_probe_is_worker_independent():
+    m, d = first_layer_case()
+    csvs = [format_heatmap_csv(sensitivity_heatmap(m, d, 2.0, "first_layer", seed=22, workers=workers))
+            for workers in (1, 2, 3)]
+    assert csvs[0] == csvs[1] == csvs[2]
 
 
 def test_heatmap_errors():

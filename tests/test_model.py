@@ -396,7 +396,7 @@ def test_synth_spectral_energy_split():
     high_band = dist >= 6.0
     dc = dist == 0.0
     for img, label in zip(d.images, d.labels):
-        power = np.abs(dft2(img[:, :, 0]).coefficients) ** 2
+        power = np.abs(dft2(img[:, :, 0])) ** 2
         total = power[~dc].sum()
         high = power[high_band].sum()
         if label == 1:
