@@ -68,8 +68,8 @@ class AugmentSpec:
             raise ValueError(f"unknown augmentation kind: {self.kind!r}")
         if self.order not in ORDERS:
             raise ValueError(f"unknown pipeline order: {self.order!r}")
-        if self.sigma_max < 0:
-            raise ValueError("sigma_max must be >= 0")
+        if not 0 <= self.sigma_max < np.inf:  # also true for nan
+            raise ValueError(f"sigma_max must be finite and >= 0, got {self.sigma_max!r}")
         if self.patch_size < 1:
             raise ValueError("patch_size must be >= 1")
         if self.pad < 0:

@@ -37,8 +37,8 @@ import numpy as np
 from .augment import ORDERS, AugmentSpec, run_pipeline_batch
 from .corrupt import (
     CORRUPTION_KINDS,
+    DEFAULT_SEVERITY,
     SIGMA_SUITE,
-    CorruptionSpec,
     corrupt,
     gaussian_eval_suite,
     parse_severity_table,
@@ -249,9 +249,13 @@ def cmd_corrupt(args) -> int:
         print(f"wrote {len(SIGMA_SUITE)}-sigma suite for {len(d)} images")
         return 0
     kind = _req(args, "kind")
-    spec = CorruptionSpec(kind, severity=args.severity, param=args.param)
-    table = _parse_file(args.table, parse_severity_table) if args.table else None
-    images = corrupt(d.images, spec, args.seed, tag=f"corrupt/{kind}", table=table)
+    if (args.severity is None) == (args.param is None):
+        raise ValueError("need exactly one of --severity / --param")
+    table = _parse_file(args.table, parse_severity_table) if args.table else DEFAULT_SEVERITY
+    if args.param is None and kind not in table:
+        raise ValueError(f"{args.table}: severity table has no rows for {kind}")
+    param = table[kind][args.severity - 1] if args.param is None else args.param
+    images = corrupt(d.images, kind, param, args.seed, tag=f"corrupt/{kind}")
     write_dataset(LabeledDataset(images, d.labels.copy()), out)
     print(f"corrupted {len(d)} images ({kind})")
     return 0
@@ -421,7 +425,7 @@ def _build_parser() -> tuple[argparse.ArgumentParser, dict]:
     p.add_argument("--suite", action=argparse.BooleanOptionalAction, default=False,
                    help="write the fixed sigma suite instead of one corruption")
     p.add_argument("--kind", choices=CORRUPTION_KINDS)
-    p.add_argument("--severity", type=int)
+    p.add_argument("--severity", type=int, choices=range(1, 6))
     p.add_argument("--param", type=float)
     p.add_argument("--table", help="severity table file")
     p.set_defaults(func=cmd_corrupt)

@@ -6,10 +6,11 @@ contrast, defocus_blur, pixelate). They exist to feed the error metrics in
 the metrics module; kinds that need external assets or image codecs are out
 of scope.
 
-Severity levels 1..5 map to parameters through a severity table. The
-default table, the last column of _KINDS below, is a toolkit convention
-tuned for 32x32-class images (stronger level = stronger corruption); swap
-in your own table file to reproduce an external benchmark.
+corrupt takes a kind and its raw parameter. Severity levels 1..5 name
+parameters through a severity table, which the CLI reads: the default
+table, the last column of _KINDS below, is a toolkit convention tuned for
+32x32-class images (stronger level = stronger corruption); swap in your
+own table file to reproduce an external benchmark.
 
 Randomized kinds consume their stream in a fixed order: gaussian_noise
 draws one normal per element (row-major, channel-interleaved); shot_noise
@@ -32,23 +33,6 @@ from .images import LabeledDataset
 from .rng import derive_states, lockstep_fields, lockstep_groups, next_units
 
 SIGMA_SUITE = (0.1, 0.2, 0.3, 0.5, 0.8, 1.0)
-
-
-@dataclass(frozen=True)
-class CorruptionSpec:
-    """One corruption: a kind plus either a severity level or a raw parameter."""
-
-    kind: str
-    severity: int | None = None
-    param: float | None = None
-
-    def __post_init__(self):
-        if self.kind not in CORRUPTION_KINDS:
-            raise ValueError(f"unknown corruption kind: {self.kind!r}")
-        if (self.severity is None) == (self.param is None):
-            raise ValueError("specify exactly one of severity or param")
-        if self.severity is not None and not 1 <= self.severity <= 5:
-            raise ValueError(f"severity level out of range: {self.severity}")
 
 
 def validate_severity_table(table: dict) -> None:
@@ -88,15 +72,6 @@ def parse_severity_table(text: str) -> dict:
         table[kind] = tuple(levels[i] for i in range(1, 6))
     validate_severity_table(table)
     return table
-
-
-def resolve_param(spec: CorruptionSpec, table: dict | None = None) -> float:
-    if spec.param is not None:
-        return float(spec.param)
-    table = DEFAULT_SEVERITY if table is None else table
-    if spec.kind not in table:
-        raise ValueError(f"severity table has no entry for {spec.kind!r}")
-    return float(table[spec.kind][spec.severity - 1])
 
 
 def _check_domain(kind: str, param: float) -> None:
@@ -182,23 +157,19 @@ NOISE_KINDS = tuple(kind for kind, row in _KINDS.items() if row.noise)
 DEFAULT_SEVERITY = {kind: row.severity for kind, row in _KINDS.items()}
 
 
-def corrupt(
-    images: np.ndarray,
-    spec: CorruptionSpec,
-    seed: int | None = None,
-    tag: str = "",
-    table: dict | None = None,
-) -> np.ndarray:
-    """Apply one corruption to a batch of images, shape (n, h, w, c), per
-    lockstep group, clipped to [0, 1] into one output array. Noise kinds
-    require a seed: image j draws from the (seed, j, tag) stream."""
+def corrupt(images: np.ndarray, kind: str, param: float, seed: int | None = None, tag: str = "") -> np.ndarray:
+    """Apply corruption kind at parameter param to a batch of images, shape
+    (n, h, w, c), per lockstep group, clipped to [0, 1] into one output
+    array. Noise kinds require a seed: image j draws from the (seed, j, tag)
+    stream."""
     if images.ndim != 4:
         raise ValueError("expected an (n, h, w, c) image batch")
-    param = resolve_param(spec, table)
-    _check_domain(spec.kind, param)
-    entry = _KINDS[spec.kind]
+    if kind not in _KINDS:
+        raise ValueError(f"unknown corruption kind: {kind!r}")
+    _check_domain(kind, param)
+    entry = _KINDS[kind]
     if entry.noise and seed is None:
-        raise ValueError(f"{spec.kind} requires an rng seed")
+        raise ValueError(f"{kind} requires an rng seed")
     out = np.empty_like(images)
     for rows in lockstep_groups(len(images)):
         group = slice(rows.start, rows.stop)
@@ -217,6 +188,6 @@ def gaussian_eval_suite(d: LabeledDataset, seed: int, sigmas=SIGMA_SUITE) -> lis
     """
     if len(d) == 0:
         raise ValueError("empty dataset")
-    return [(sigma, LabeledDataset(corrupt(d.images, CorruptionSpec("gaussian_noise", param=sigma), seed,
-                                           tag=f"suite/{sigma}"), d.labels.copy()))
+    return [(sigma, LabeledDataset(corrupt(d.images, "gaussian_noise", sigma, seed, tag=f"suite/{sigma}"),
+                                   d.labels.copy()))
             for sigma in sigmas]

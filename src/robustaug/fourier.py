@@ -166,6 +166,8 @@ def sensitivity_heatmap(
     """
     if probe not in PROBES:
         raise ValueError(f"unknown probe: {probe}")
+    if not 0 <= v < np.inf:  # also true for nan
+        raise ValueError(f"perturbation norm must be finite and >= 0, got {v!r}")
     if len(d) == 0:
         raise ValueError("empty dataset")
     if probe == "first_layer" and not hasattr(model, "first_layer"):
@@ -225,8 +227,8 @@ def high_pass(images: np.ndarray, radius: float) -> np.ndarray:
     unchanged; images are transformed _PROBE_CHUNK at a time into one array."""
     if images.ndim not in (3, 4):
         raise ValueError("expected an image tensor or a stack of them")
-    if radius < 0:
-        raise ValueError("negative radius")
+    if not radius >= 0:  # also true for nan
+        raise ValueError(f"radius must be >= 0, got {radius!r}")
     if radius == 0.0:
         return images.copy()
     stack = images.reshape((-1,) + images.shape[-3:])

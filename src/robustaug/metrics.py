@@ -91,6 +91,8 @@ def select_hparams(candidates, z: float) -> Candidate:
     candidates = list(candidates)
     if not candidates:
         raise ValueError("no candidates")
+    if np.isnan(z):
+        raise ValueError("clean accuracy threshold z is nan")
     qualified = [c for c in candidates if c.result.clean_accuracy >= z]
     # max keeps the first of equal maxima, so ties break by input order.
     if qualified:

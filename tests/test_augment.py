@@ -478,8 +478,9 @@ def test_spec_validation():
         AugmentSpec(kind="blur")
     with pytest.raises(ValueError, match="order"):
         AugmentSpec(order="sideways")
-    with pytest.raises(ValueError, match="sigma_max"):
-        AugmentSpec(sigma_max=-1.0)
+    for bad in (-1.0, np.nan, np.inf):
+        with pytest.raises(ValueError, match="sigma_max"):
+            AugmentSpec(sigma_max=bad)
     with pytest.raises(ValueError, match="patch_size"):
         AugmentSpec(patch_size=0)
     with pytest.raises(ValueError, match="pad"):

@@ -136,6 +136,44 @@ def test_corrupt_single_kind_matches_library(tmp_path):
     assert np.array_equal(got, want)
 
 
+def test_corrupt_severity_reads_its_level_from_the_table(tmp_path):
+    d = make_synth(tmp_path, count=4)
+    table = tmp_path / "table.txt"
+    table.write_text("".join(f"brightness {level} {0.11 * level}\n" for level in range(1, 6)))
+    by_level, by_param = tmp_path / "level", tmp_path / "param"
+    assert run("corrupt", "--input", d, "--output", by_level, "--kind", "brightness", "--severity", "2",
+               "--table", table) == 0
+    assert run("corrupt", "--input", d, "--output", by_param, "--kind", "brightness", "--param", 0.11 * 2) == 0
+    assert dir_bytes(by_level) == dir_bytes(by_param)
+
+
+def test_corrupt_table_without_the_kind_exits_1_naming_the_file(tmp_path, capsys):
+    d = make_synth(tmp_path, count=4)
+    table, out = tmp_path / "table.txt", tmp_path / "out"
+    table.write_text("".join(f"brightness {level} {0.1 * level}\n" for level in range(1, 6)))
+    assert run("corrupt", "--input", d, "--output", out, "--kind", "contrast", "--severity", "1",
+               "--table", table) == 1
+    assert capsys.readouterr().err == f"error: {table}: severity table has no rows for contrast\n"
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("given", [[], ["--severity", "1", "--param", "0.1"]])
+def test_corrupt_needs_exactly_one_of_severity_and_param(tmp_path, capsys, given):
+    d, out = make_synth(tmp_path, count=4), tmp_path / "out"
+    assert run("corrupt", "--input", d, "--output", out, "--kind", "brightness", *given) == 1
+    assert capsys.readouterr().err == "error: need exactly one of --severity / --param\n"
+    assert not out.exists()
+
+
+def test_corrupt_severity_6_is_rejected(tmp_path, capsys):
+    d, out = make_synth(tmp_path, count=4), tmp_path / "out"
+    with pytest.raises(SystemExit) as e:
+        run("corrupt", "--input", d, "--output", out, "--kind", "brightness", "--severity", "6")
+    assert e.value.code == 2
+    assert "argument --severity: invalid choice: 6" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_corrupt_suite_layout_and_determinism(tmp_path):
     d = make_synth(tmp_path, count=4)
     a, b = tmp_path / "suite_a", tmp_path / "suite_b"
@@ -387,6 +425,7 @@ def test_config_line_matches_its_flag(tmp_path, data_and_model, case):
     ("train", "epochs=2.5", "bad value for epochs: '2.5'"),
     ("augment", "sample-up-to=maybe", "bad value for sample_up_to: 'maybe'"),
     ("augment", "# defaults\nseed=5\nseed 5", "bad config line 3: 'seed 5'"),
+    ("corrupt", "kind=brightness\nseverity=6", "bad value for severity: '6'"),
 ])
 def test_bad_config_line_exits_1_naming_the_key(tmp_path, capsys, data_and_model, command, text, named):
     data, ckpt = data_and_model
@@ -406,6 +445,34 @@ def test_bad_severity_table_line_exits_1_naming_the_file_and_line(tmp_path, caps
                "--table", table) == 1
     assert capsys.readouterr().err == (f"error: {table}: severity table line 2: "
                                        "expected 'kind level parameter'\n")
+    assert not out.exists()
+
+
+# (argv before --input and --output, the error); "{model}" stands for a checkpoint;
+# select reads a one-row candidates file, the others a dataset
+NON_FINITE_CASES = {
+    "highpass-radius-nan": (["highpass", "--radius", "nan"], "radius must be >= 0, got nan"),
+    "fourier-norm-nan": (["fourier", "--model", "{model}", "--norm", "nan"],
+                         "perturbation norm must be finite and >= 0, got nan"),
+    "fourier-norm-inf": (["fourier", "--model", "{model}", "--norm", "inf"],
+                         "perturbation norm must be finite and >= 0, got inf"),
+    "select-z-nan": (["select", "--z", "nan"], "clean accuracy threshold z is nan"),
+    "augment-sigma-max-nan": (["augment", "--kind", "gaussian", "--sigma-max", "nan"],
+                              "sigma_max must be finite and >= 0, got nan"),
+    "train-sigma-max-inf": (["train", *TRAIN, "--kind", "gaussian", "--sigma-max", "inf"],
+                            "sigma_max must be finite and >= 0, got inf"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(NON_FINITE_CASES))
+def test_non_finite_option_exits_1_before_any_output(tmp_path, capsys, data_and_model, case):
+    argv, named = NON_FINITE_CASES[case]
+    data, ckpt = data_and_model
+    cands, out = tmp_path / "cands.csv", tmp_path / "out"
+    cands.write_text("label,clean_acc," + ",".join(f"acc_{s}" for s in SIGMA_SUITE) + "\nA,0.97" + ",0.9" * 6 + "\n")
+    argv = [arg.format(model=ckpt) for arg in argv]
+    assert run(*argv, "--input", cands if argv[0] == "select" else data, "--output", out) == 1
+    assert capsys.readouterr().err == f"error: {named}\n"
     assert not out.exists()
 
 

@@ -12,11 +12,9 @@ from robustaug.corrupt import (
     DEFAULT_SEVERITY,
     NOISE_KINDS,
     SIGMA_SUITE,
-    CorruptionSpec,
     corrupt,
     gaussian_eval_suite,
     parse_severity_table,
-    resolve_param,
     validate_severity_table,
 )
 from robustaug.images import LabeledDataset, clip_unit
@@ -68,10 +66,10 @@ def random_image(seed, h=16, w=16, c=3):
     return np.random.default_rng(seed).random((h, w, c))
 
 
-def corrupt_one(img, spec, seed=None, index=0, tag=""):
+def corrupt_one(img, kind, param, seed=None, index=0, tag=""):
     """corrupt of img at stream origin (seed, index, tag): image index of a
     batch of index + 1 copies of it."""
-    return corrupt(np.repeat(img[None], index + 1, axis=0), spec, seed, tag)[index]
+    return corrupt(np.repeat(img[None], index + 1, axis=0), kind, param, seed, tag)[index]
 
 
 def scalar_noise(img, kind, param, rng):
@@ -90,30 +88,26 @@ def scalar_noise(img, kind, param, rng):
 
 
 def test_spec_validation():
-    with pytest.raises(ValueError, match="unknown corruption kind"):
-        CorruptionSpec(kind="fog", severity=1)
-    with pytest.raises(ValueError, match="exactly one"):
-        CorruptionSpec(kind="brightness")
-    with pytest.raises(ValueError, match="exactly one"):
-        CorruptionSpec(kind="brightness", severity=1, param=0.1)
-    with pytest.raises(ValueError, match="severity level"):
-        CorruptionSpec(kind="brightness", severity=6)
+    # corrupt takes a raw parameter; severity levels and their tables are the CLI's (tests/test_cli.py)
+    img = random_image(0)
+    with pytest.raises(ValueError, match="unknown corruption kind: 'fog'"):
+        corrupt_one(img, "fog", 0.1, 0)
 
 
 def test_brightness_zero_identity():
     img = random_image(0)
-    out = corrupt_one(img, CorruptionSpec(kind="brightness", param=0.0))
+    out = corrupt_one(img, "brightness", 0.0)
     assert np.array_equal(out, img)
 
 
 def test_brightness_shifts_and_clips():
-    out = corrupt_one(np.full((2, 2, 1), 0.9), CorruptionSpec(kind="brightness", param=0.3))
+    out = corrupt_one(np.full((2, 2, 1), 0.9), "brightness", 0.3)
     assert np.all(out == 1.0)
 
 
 def test_contrast_zero_collapses_to_channel_mean():
     img = random_image(1)
-    out = corrupt_one(img, CorruptionSpec(kind="contrast", param=0.0))
+    out = corrupt_one(img, "contrast", 0.0)
     m = img.mean(axis=(0, 1))
     for c in range(3):
         assert np.allclose(out[:, :, c], m[c], atol=1e-12)
@@ -121,20 +115,20 @@ def test_contrast_zero_collapses_to_channel_mean():
 
 def test_contrast_one_identity():
     img = random_image(2)
-    out = corrupt_one(img, CorruptionSpec(kind="contrast", param=1.0))
+    out = corrupt_one(img, "contrast", 1.0)
     assert np.allclose(out, img, atol=1e-15)
 
 
 def test_pixelate_full_width_block_average():
     img = np.random.default_rng(3).random((4, 4, 1))
-    out = corrupt_one(img, CorruptionSpec(kind="pixelate", param=4.0))
+    out = corrupt_one(img, "pixelate", 4.0)
     expected = math.fsum(img[y, x, 0] for y in range(4) for x in range(4)) / 16
     assert np.allclose(out, expected, atol=1e-12)
 
 
 def test_pixelate_hand_blocks():
     img = np.random.default_rng(4).random((4, 6, 1))
-    out = corrupt_one(img, CorruptionSpec(kind="pixelate", param=2.0))
+    out = corrupt_one(img, "pixelate", 2.0)
     for by in range(0, 4, 2):
         for bx in range(0, 6, 2):
             block = img[by : by + 2, bx : bx + 2, 0]
@@ -143,7 +137,7 @@ def test_pixelate_hand_blocks():
 
 def test_pixelate_ragged_blocks():
     img = np.random.default_rng(5).random((5, 5, 1))
-    out = corrupt_one(img, CorruptionSpec(kind="pixelate", param=3.0))
+    out = corrupt_one(img, "pixelate", 3.0)
     corner = img[3:5, 3:5, 0]
     assert np.allclose(out[3:5, 3:5, 0], corner.mean(), atol=1e-12)
 
@@ -151,7 +145,7 @@ def test_pixelate_ragged_blocks():
 def test_defocus_matches_nested_loop_oracle():
     img = np.random.default_rng(6).random((6, 7, 1))
     radius = 2.0
-    out = corrupt_one(img, CorruptionSpec(kind="defocus_blur", param=radius))
+    out = corrupt_one(img, "defocus_blur", radius)
     span = 2
     taps = [
         (dy, dx)
@@ -169,14 +163,14 @@ def test_defocus_matches_nested_loop_oracle():
 
 def test_defocus_radius_zero_identity():
     img = random_image(7)
-    out = corrupt_one(img, CorruptionSpec(kind="defocus_blur", param=0.0))
+    out = corrupt_one(img, "defocus_blur", 0.0)
     assert np.allclose(out, img, atol=1e-15)
 
 
 def test_gaussian_noise_shares_augment_kernel():
     img = random_image(8)
     sigma = 0.37
-    out = corrupt_one(img, CorruptionSpec(kind="gaussian_noise", param=sigma), 5, 4, "gn")
+    out = corrupt_one(img, "gaussian_noise", sigma, 5, 4, "gn")
     field = derive_stream(5, 4, "gn").normal_field(img.shape)
     assert np.array_equal(out, gaussian_batch(img[None], [sigma], field[None])[0])
 
@@ -186,36 +180,36 @@ def test_gaussian_noise_shares_augment_kernel():
 def test_batch_matches_batches_of_one(kind, n):
     # 5x3x3 fields are odd-sized; tests/test_group_width.py covers group boundaries.
     images = np.random.default_rng(n).random((n, 5, 3, 3))
-    spec = CorruptionSpec(kind=kind, severity=5)
-    got = corrupt(images, spec, 9, "batch")
+    param = DEFAULT_SEVERITY[kind][4]
+    got = corrupt(images, kind, param, 9, "batch")
     for j in range(n):
         if kind in NOISE_KINDS:
-            want = scalar_noise(images[j], kind, DEFAULT_SEVERITY[kind][4], derive_stream(9, j, "batch"))
+            want = scalar_noise(images[j], kind, param, derive_stream(9, j, "batch"))
             assert np.array_equal(got[j], want)
         # Image j alone at its origin; a noise kind needs a batch of j + 1 for that, so only the first few.
         if j < 8 or kind not in NOISE_KINDS:
-            assert np.array_equal(got[j], corrupt_one(images[j], spec, 9, j, "batch"))
+            assert np.array_equal(got[j], corrupt_one(images[j], kind, param, 9, j, "batch"))
 
 
 @pytest.mark.parametrize("kind", CORRUPTION_KINDS)
 def test_corrupt_leaves_its_input_unchanged(kind):
     images = np.random.default_rng(11).random((5, 9, 7, 3))
     before = images.copy()
-    out = corrupt(images, CorruptionSpec(kind, severity=5), 3, tag="immutable")
+    out = corrupt(images, kind, DEFAULT_SEVERITY[kind][4], 3, tag="immutable")
     assert np.array_equal(images, before)
     assert not np.shares_memory(out, images)
 
 
 def test_shot_noise_large_lambda_near_identity():
     img = np.full((32, 32, 1), 0.5)
-    out = corrupt_one(img, CorruptionSpec(kind="shot_noise", param=1e6), 1, 0, "shot")
+    out = corrupt_one(img, "shot_noise", 1e6, 1, 0, "shot")
     assert np.abs(out - img).mean() < 1e-2
 
 
 def test_shot_noise_counts_are_integers():
     img = random_image(9, 8, 8, 1)
     lam = 60.0
-    out = corrupt_one(img, CorruptionSpec(kind="shot_noise", param=lam), 2, 0, "shot")
+    out = corrupt_one(img, "shot_noise", lam, 2, 0, "shot")
     unclipped = out[out < 1.0]
     counts = unclipped * lam
     assert np.allclose(counts, np.round(counts), atol=1e-9)
@@ -223,15 +217,15 @@ def test_shot_noise_counts_are_integers():
 
 def test_shot_noise_black_stays_black():
     img = np.zeros((4, 4, 1))
-    out = corrupt_one(img, CorruptionSpec(kind="shot_noise", param=100.0), 3, 0, "shot")
+    out = corrupt_one(img, "shot_noise", 100.0, 3, 0, "shot")
     assert np.array_equal(out, img)
 
 
 def test_impulse_noise_extremes():
     img = random_image(10, 8, 8, 3)
-    out = corrupt_one(img, CorruptionSpec(kind="impulse_noise", param=0.0), 4, 0, "imp")
+    out = corrupt_one(img, "impulse_noise", 0.0, 4, 0, "imp")
     assert np.array_equal(out, img)
-    out = corrupt_one(img, CorruptionSpec(kind="impulse_noise", param=1.0), 4, 0, "imp")
+    out = corrupt_one(img, "impulse_noise", 1.0, 4, 0, "imp")
     assert np.all((out == 0.0) | (out == 1.0))
     frac_white = np.count_nonzero(out[:, :, 0] == 1.0) / 64
     assert 0.2 < frac_white < 0.8  # equal probability, small sample
@@ -239,7 +233,7 @@ def test_impulse_noise_extremes():
 
 def test_impulse_noise_whole_pixel_replacement():
     img = random_image(11, 16, 16, 3)
-    out = corrupt_one(img, CorruptionSpec(kind="impulse_noise", param=0.5), 5, 0, "imp")
+    out = corrupt_one(img, "impulse_noise", 0.5, 5, 0, "imp")
     changed = np.any(out != img, axis=2)
     for y, x in zip(*np.nonzero(changed)):
         assert out[y, x, 0] == out[y, x, 1] == out[y, x, 2]
@@ -250,7 +244,7 @@ def test_outputs_stay_in_unit_range():
     img = random_image(12)
     for kind in CORRUPTION_KINDS:
         for level in range(1, 6):
-            out = corrupt_one(img, CorruptionSpec(kind=kind, severity=level), 6, level, kind)
+            out = corrupt_one(img, kind, DEFAULT_SEVERITY[kind][level - 1], 6, level, kind)
             assert out.min() >= 0.0 and out.max() <= 1.0, kind
 
 
@@ -260,9 +254,8 @@ def test_severity_monotone_mean_change():
     for kind in CORRUPTION_KINDS:
         changes = []
         for level in range(1, 6):
-            spec = CorruptionSpec(kind=kind, severity=level)
             # Same stream per image across levels: paired comparison.
-            out = corrupt(images, spec, 7, tag=f"mono/{kind}")
+            out = corrupt(images, kind, DEFAULT_SEVERITY[kind][level - 1], 7, tag=f"mono/{kind}")
             total = 0.0
             for i, img in enumerate(images):
                 total += np.abs(out[i] - img).mean()
@@ -274,19 +267,19 @@ def test_severity_monotone_mean_change():
 def test_unknown_kind_and_domain_errors():
     img = random_image(13)
     with pytest.raises(ValueError, match="out of domain"):
-        corrupt_one(img, CorruptionSpec(kind="impulse_noise", param=1.5), 0, 0, "x")
+        corrupt_one(img, "impulse_noise", 1.5, 0, 0, "x")
     with pytest.raises(ValueError, match="out of domain"):
-        corrupt_one(img, CorruptionSpec(kind="shot_noise", param=0.0), 0, 0, "x")
+        corrupt_one(img, "shot_noise", 0.0, 0, 0, "x")
     with pytest.raises(ValueError, match="out of domain"):
-        corrupt_one(img, CorruptionSpec(kind="pixelate", param=2.5))
+        corrupt_one(img, "pixelate", 2.5)
     for kind in CORRUPTION_KINDS:
         for param in (math.nan, math.inf, -math.inf):
             with pytest.raises(ValueError, match="out of domain"):
-                corrupt_one(img, CorruptionSpec(kind=kind, param=param), 0, 0, "x")
+                corrupt_one(img, kind, param, 0, 0, "x")
     with pytest.raises(ValueError, match="image batch"):
-        corrupt(img, CorruptionSpec(kind="brightness", param=0.1))  # one image, not a batch
+        corrupt(img, "brightness", 0.1)  # one image, not a batch
     with pytest.raises(ValueError, match="requires an rng"):
-        corrupt_one(img, CorruptionSpec(kind="gaussian_noise", param=0.1))
+        corrupt_one(img, "gaussian_noise", 0.1)
 
 
 # (kind, a parameter on an edge of its domain, the nearest float outside that edge)
@@ -307,9 +300,9 @@ DOMAIN_EDGES = [
 @pytest.mark.parametrize("kind,edge,outside", DOMAIN_EDGES)
 def test_domain_edges(kind, edge, outside):
     img = random_image(14, 4, 4, 1)
-    corrupt_one(img, CorruptionSpec(kind=kind, param=edge), 0, 0, "x")
+    corrupt_one(img, kind, edge, 0, 0, "x")
     with pytest.raises(ValueError, match=f"out of domain for {kind}"):
-        corrupt_one(img, CorruptionSpec(kind=kind, param=outside), 0, 0, "x")
+        corrupt_one(img, kind, outside, 0, 0, "x")
 
 
 def test_severity_table_round_trip():
@@ -340,15 +333,6 @@ def test_severity_table_rejects_a_repeated_level():
 def test_severity_table_names_the_line_of_a_bad_level_or_parameter(bad_line):
     with pytest.raises(ValueError, match=r"^severity table line 3: "):
         parse_severity_table(f"# kind level parameter\nbrightness 1 0.05\n{bad_line}\n")
-
-
-def test_resolve_param_precedence():
-    assert resolve_param(CorruptionSpec(kind="brightness", severity=3)) == 0.15
-    assert resolve_param(CorruptionSpec(kind="brightness", param=0.42)) == 0.42
-    custom = {"brightness": (0.1, 0.2, 0.3, 0.4, 0.5)}
-    assert resolve_param(CorruptionSpec(kind="brightness", severity=1), custom) == 0.1
-    with pytest.raises(ValueError, match="no entry"):
-        resolve_param(CorruptionSpec(kind="contrast", severity=1), custom)
 
 
 def make_dataset(seed, n=5):

@@ -295,8 +295,12 @@ def test_band_complement_reconstruction():
 
 
 def test_high_pass_validation():
-    with pytest.raises(ValueError, match="negative radius"):
+    with pytest.raises(ValueError, match="radius must be >= 0, got -1.0"):
         high_pass(np.zeros((4, 4, 1)), -1.0)
+    with pytest.raises(ValueError, match="radius must be >= 0, got nan"):
+        high_pass(np.zeros((4, 4, 1)), math.nan)
+    # an infinite radius removes every coefficient, the mean included
+    assert np.array_equal(high_pass(np.random.default_rng(0).random((4, 4, 1)), math.inf), np.full((4, 4, 1), 0.5))
     with pytest.raises(ValueError, match="image tensor"):
         high_pass(np.zeros((4, 4)), 1.0)
 

@@ -17,9 +17,19 @@ import pytest
 from robustaug import rng
 from robustaug.augment import AugmentSpec
 from robustaug.cli import main as cli_main
-from robustaug.corrupt import CorruptionSpec, corrupt
+from robustaug.corrupt import DEFAULT_SEVERITY, NOISE_KINDS, corrupt, gaussian_eval_suite
 from robustaug.fourier import half_plane_frequencies, sensitivity_heatmap
-from robustaug.model import ToyModel, TrainConfig, encode_model, init_toy_model, predict, synth_dataset, train
+from robustaug.images import LabeledDataset
+from robustaug.model import (
+    ToyModel,
+    TrainConfig,
+    encode_model,
+    evaluate,
+    init_toy_model,
+    predict,
+    synth_dataset,
+    train,
+)
 
 WIDTHS = (16, 96, rng.LOCKSTEP_STREAMS)
 
@@ -72,6 +82,12 @@ def test_predict(monkeypatch):
     assert outs[0] == outs[1] == outs[2]
 
 
+def test_evaluate(monkeypatch):
+    m, d = near_tie_model(), synth_dataset(9, 97)
+    outs = outputs_at_each_width(monkeypatch, lambda: evaluate(m, d))
+    assert outs[0] == outs[1] == outs[2]
+
+
 @pytest.mark.parametrize("probe", ["test_error", "first_layer"])
 def test_heatmap(monkeypatch, probe):
     m, d = near_tie_model(), synth_dataset(9, 97)
@@ -85,11 +101,19 @@ def test_synth_dataset(monkeypatch):
     assert outs[0] == outs[1] == outs[2]
 
 
-def test_corrupt_gaussian_noise(monkeypatch):
-    # 9x7x3 fields hold 189 values: each image leaves a pending normal.
+@pytest.mark.parametrize("kind", NOISE_KINDS)
+def test_corrupt_noise_kind(monkeypatch, kind):
+    # 9x7x3 fields hold 189 values: each gaussian_noise image leaves a pending normal.
     images = np.random.default_rng(6).random((130, 9, 7, 3))
-    spec = CorruptionSpec("gaussian_noise", severity=5)
-    outs = outputs_at_each_width(monkeypatch, lambda: corrupt(images, spec, 6, tag="width").tobytes())
+    param = DEFAULT_SEVERITY[kind][4]
+    outs = outputs_at_each_width(monkeypatch, lambda: corrupt(images, kind, param, 6, tag="width").tobytes())
+    assert outs[0] == outs[1] == outs[2]
+
+
+def test_gaussian_eval_suite(monkeypatch):
+    d = LabeledDataset(np.random.default_rng(7).random((130, 9, 7, 3)), np.zeros(130, dtype=np.int64))
+    outs = outputs_at_each_width(
+        monkeypatch, lambda: b"".join(corrupted.images.tobytes() for _, corrupted in gaussian_eval_suite(d, 7)))
     assert outs[0] == outs[1] == outs[2]
 
 

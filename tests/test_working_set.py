@@ -13,7 +13,7 @@ import tracemalloc
 import pytest
 
 from robustaug.cli import load_dataset, write_dataset
-from robustaug.corrupt import CorruptionSpec, corrupt
+from robustaug.corrupt import DEFAULT_SEVERITY, corrupt
 from robustaug.fourier import high_pass
 from robustaug.model import init_toy_model, predict, synth_dataset
 
@@ -59,6 +59,6 @@ def test_write_dataset_encodes_one_file_at_a_time(tmp_path):
 def test_corrupt_holds_its_output_and_one_lockstep_group(kind):
     # 1024 images make three groups; a whole-batch kind held two full copies.
     images = synth_dataset(3, 1024).images
-    spec = CorruptionSpec(kind, severity=3)
-    corrupt(images[:1], spec)  # imports scipy where the kind needs it, before the peak is read
-    assert peak_bytes(lambda: corrupt(images, spec)) <= 1.6 * images.nbytes
+    param = DEFAULT_SEVERITY[kind][2]
+    corrupt(images[:1], kind, param)  # imports scipy where the kind needs it, before the peak is read
+    assert peak_bytes(lambda: corrupt(images, kind, param)) <= 1.6 * images.nbytes
