@@ -28,11 +28,11 @@ children, makes each draw for the whole batch in lockstep, and hands the
 draws to kernels that run on the whole batch (rect_masks, gaussian_batch,
 cutout_batch, _flip_and_crop_batch). run_pipeline is a batch of one.
 
-The noisy copy is clipped to [0, 1] before the patch is combined with the
-original, so border pixels of the patch never exceed the unit range. The
-pipeline returns a new array and never writes to its input: kernels work
-in place only on arrays it owns. Pixels outside the sampled rect stay
-bit-identical to the input.
+Patch Gaussian's "aug" stream steps through the whole field, but only the
+normals inside the patch are computed (rng.needed_normals) and written into
+the output as clip_unit(x + sigma * z); pixels outside stay bit-identical.
+The pipeline returns a new array and never writes to its input: kernels
+work in place only on arrays it owns.
 """
 
 from __future__ import annotations
@@ -41,7 +41,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .rng import RngStream, child_tag_of, derive_states, lockstep_fields, next_ints, next_units
+from .rng import RngStream, child_tag_of, derive_states, lockstep_fields, needed_normals, next_ints, next_units
 
 KINDS = ("none", "gaussian", "cutout", "patch_gaussian")
 ORDERS = ("augment_then_flipcrop", "flipcrop_then_augment")
@@ -93,18 +93,15 @@ def rect_masks(cx, cy, h: int, w: int, patch) -> np.ndarray:
     return in_rows[:, :, None] & in_cols[:, None, :]
 
 
-def gaussian_batch(images: np.ndarray, sigma, noise: np.ndarray, masks=None, out=None) -> np.ndarray:
+def gaussian_batch(images: np.ndarray, sigma, noise: np.ndarray, out=None) -> np.ndarray:
     """clip_unit(images[i] + sigma[i] * noise[i]) for each image of an
-    (n, h, w, c) batch, with one sigma per image. With (n, h, w) masks the
-    noisy copy replaces each image only inside its mask. The result is
-    written to out, which may be noise itself, or to a new array."""
+    (n, h, w, c) batch, with one sigma per image. The result is written to
+    out, which may be noise itself, or to a new array."""
     if noise.shape != images.shape:
         raise ValueError(f"shape mismatch: images {images.shape} vs noise {noise.shape}")
     noisy = np.multiply(np.asarray(sigma)[:, None, None, None], noise, out=out)
     noisy += images
     np.clip(noisy, 0.0, 1.0, out=noisy)
-    if masks is not None:
-        np.copyto(noisy, images, where=~masks[..., None])
     return noisy
 
 
@@ -145,26 +142,30 @@ def _augment_batch(images: np.ndarray, spec: AugmentSpec, states) -> np.ndarray:
     _, h, w, c = images.shape
     if spec.kind == "none":
         return images.copy()
-    masks = None
-    if spec.kind != "gaussian":
-        patch = spec.patch_size
-        if spec.kind == "patch_gaussian" and spec.sample_up_to:
-            # Inclusive upper end: the configured size is the maximum.
-            patch = next_ints(states, 1, spec.patch_size)
-        cx = next_ints(states, 0, w - 1)
-        cy = next_ints(states, 0, h - 1)
-        masks = rect_masks(cx, cy, h, w, patch)
-        if spec.kind == "cutout":
-            return cutout_batch(images, masks, spec.fill)
+    if spec.kind == "gaussian":
+        sigma = spec.sigma_max * next_units(states)
+        noise = lockstep_fields(states, (h, w, c))
+        return gaussian_batch(images, sigma, noise, out=noise)
+    patch = spec.patch_size
+    if spec.kind == "patch_gaussian" and spec.sample_up_to:
+        # Inclusive upper end: the configured size is the maximum.
+        patch = next_ints(states, 1, spec.patch_size)
+    cx = next_ints(states, 0, w - 1)
+    cy = next_ints(states, 0, h - 1)
+    masks = rect_masks(cx, cy, h, w, patch)
+    if spec.kind == "cutout":
+        return cutout_batch(images, masks, spec.fill)
     sigma = spec.sigma_max * next_units(states)
-    noise = lockstep_fields(states, (h, w, c))
-    return gaussian_batch(images, sigma, noise, masks, out=noise)
+    flat = images.flatten()
+    for cols, entries, z in needed_normals(states, (h, w, c), masks[..., None]):
+        flat[entries] = np.clip(flat[entries] + sigma[cols] * z, 0.0, 1.0)
+    return flat.reshape(images.shape)
 
 
 def _flip_and_crop_batch(images: np.ndarray, flips: np.ndarray, pad: int, offsets, in_place=False) -> np.ndarray:
-    """Mirror the images whose flips entry is set, in place or in a copy,
-    then zero-pad by pad and crop back to size at the drawn (ox, oy)
-    offsets, each an (n,) array.
+    """Mirror the images whose flips entry is set (at pad 0 in place or in a
+    copy), then zero-pad by pad and crop back to size at the drawn (ox, oy)
+    offsets, each an (n,) array, as one gather into a new array.
 
     An offset pair is the translation of the content measured from its most
     up-left position: with offsets (0, 0) the content sits flush with the
@@ -172,16 +173,18 @@ def _flip_and_crop_batch(images: np.ndarray, flips: np.ndarray, pad: int, offset
     bottom; offsets (2*pad, 2*pad) push it fully down-right.
     """
     n, h, w, c = images.shape
-    images = images if in_place else images.copy()
-    images[flips] = mirror(images[flips])
     if pad == 0:
+        images = images if in_place else images.copy()
+        images[flips] = mirror(images[flips])
         return images
-    padded = np.zeros((n, h + 2 * pad, w + 2 * pad, c))
-    padded[:, pad:pad + h, pad:pad + w] = images
     ox, oy = offsets
-    rows = (2 * pad - oy)[:, None] + np.arange(h)
-    cols = (2 * pad - ox)[:, None] + np.arange(w)
-    return padded[np.arange(n)[:, None, None], rows[:, :, None], cols[:, None, :]]
+    rows = (pad - oy)[:, None] + np.arange(h)  # source pixel of each window pixel
+    cols = (pad - ox)[:, None] + np.arange(w)
+    inside = ((rows >= 0) & (rows < h))[:, :, None] & ((cols >= 0) & (cols < w))[:, None, :]
+    cols = np.where(flips[:, None], w - 1 - cols, cols)
+    out = images[np.arange(n)[:, None, None], rows.clip(0, h - 1)[:, :, None], cols.clip(0, w - 1)[:, None, :]]
+    out[~inside] = 0.0
+    return out
 
 
 def run_pipeline_batch(images, spec: AugmentSpec, seed: int, indices, tag: str) -> np.ndarray:

@@ -342,6 +342,8 @@ def cmd_fourier(args) -> int:
     h, w = d.images.shape[1:3]
     freqs = half_plane_frequencies(h, w)
     if args.max_freq is not None:
+        if not args.max_freq >= 0:  # also true for nan
+            raise ValueError(f"max_freq must be >= 0, got {args.max_freq!r}")
         freqs = [(i, j) for (i, j) in freqs if math.hypot(i, j) <= args.max_freq]
     hm = sensitivity_heatmap(
         m, d,

@@ -174,6 +174,8 @@ def sensitivity_heatmap(
         raise ValueError("probe unsupported by model")
     n, h, w, _ = d.images.shape
     freq_list = list(freqs) if freqs is not None else half_plane_frequencies(h, w)
+    if not freq_list:
+        raise ValueError("no frequencies to probe")
     bases = [fourier_basis(h, w, i, j) for i, j in freq_list]
 
     def perturbed(f, rows):

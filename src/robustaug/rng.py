@@ -30,12 +30,12 @@ the columns of a (4, N) uint64 state array; derive_states builds it for N
 origins sharing seed and tag. _lockstep_u64 steps all columns together, nine
 numpy calls over N columns per step, each step writing s1 straight into the
 next row of an (n + 1, N) block that the scrambler then runs over once.
-next_units and lockstep_fields draw each column's uniform or normal field
-in slabs of _SLAB_ROWS steps, an even number, so a Box-Muller pair never
-straddles two slabs and a slab's buffers are O(_SLAB_ROWS * N) for any field
-size. next_ints draws one integer per column (re-drawing only rejected
-columns) and permutations one Fisher-Yates order per column; every draw
-advances the columns as the one-stream calls would. Counter-derived streams
+next_units, lockstep_fields and needed_normals (the entries a mask selects)
+draw fields in slabs of _SLAB_ROWS steps, an even number, so a Box-Muller
+pair never straddles two slabs and a slab's buffers are O(_SLAB_ROWS * N).
+next_ints draws one integer per column (re-drawing only rejected columns)
+and permutations one Fisher-Yates order per column; every draw advances
+the columns as the one-stream calls would. Counter-derived streams
 (Salmon et al., SC'11) make the grouping free: which columns step together,
 and where a slab ends, never changes a bit.
 
@@ -127,31 +127,38 @@ def _lockstep_u64(states, n: int, scratch=None) -> np.ndarray:
     return block
 
 
-def _lockstep_field(states, n: int, normal: bool) -> np.ndarray:
-    """(N, n): row j holds the next n uniforms, or normals, of the stream in
-    column j of states, which advance in place; the pending normal of an odd
-    n is dropped. The draw runs in slabs of _SLAB_ROWS steps."""
-    out = np.empty((states.shape[1], n))
+def _slabs(states, n: int, pairs: bool):
+    """Step states through n values, _SLAB_ROWS steps (whole pairs if pairs)
+    at a time, yielding each slab's first position, its (rows, N) block of
+    u64 >> 11 values and the float buffer the scrambler used as scratch."""
     for start in range(0, n, _SLAB_ROWS):
         rows = min(_SLAB_ROWS, n - start)
-        u = np.empty((rows + rows % 2 if normal else rows, states.shape[1]))
+        u = np.empty((rows + rows % 2 if pairs else rows, states.shape[1]))
         block = _lockstep_u64(states, len(u), scratch=u)
         block >>= _U11
-        u[...] = block
-        u *= _INV_2_53
-        out[:, start:start + rows] = (_box_muller(u) if normal else u)[:rows].T
-    return out
+        yield start, block, u
 
 
-def _box_muller(u: np.ndarray) -> np.ndarray:
-    """Normals from uniform pairs along axis 0, written over u: rows 2k and
-    2k+1 become z0 and z1 of the pair in rows 2k and 2k+1. The
-    transcendental functions run on fresh C-contiguous arrays."""
-    r = np.sqrt(-2.0 * np.log(1.0 - u[0::2]))
-    theta = _TWO_PI * u[1::2]
-    u[0::2] = r * np.cos(theta)
-    u[1::2] = r * np.sin(theta)
-    return u
+def _lockstep_field(states, shape, normal: bool) -> np.ndarray:
+    """(N,) + shape: entry j holds the next uniforms, or normals, of the
+    stream in column j of states in row-major order; the states advance in
+    place, and the pending normal of an odd-sized field is dropped."""
+    n = math.prod(int(dim) for dim in shape)
+    out = np.empty((states.shape[1], n))
+    for start, block, u in _slabs(states, n, normal):
+        np.multiply(block, _INV_2_53, out=u)
+        if normal:
+            u[0::2], u[1::2] = _box_muller(u[0::2], u[1::2], np.cos, np.sin)
+        out[:, start:start + len(u)] = u[:n - start].T
+    return out.reshape((states.shape[1],) + tuple(shape))
+
+
+def _box_muller(u1, u2, *trigs) -> list:
+    """Box-Muller's r * trig(2 pi u2), r = sqrt(-2 log(1 - u1)), for each of
+    trigs (np.cos: z0, np.sin: z1), on fresh C-contiguous arrays."""
+    r = np.sqrt(-2.0 * np.log(1.0 - u1))
+    theta = _TWO_PI * u2
+    return [r * trig(theta) for trig in trigs]
 
 
 class RngStream:
@@ -204,7 +211,7 @@ class RngStream:
         normal comes first, and an odd count leaves one pending."""
         pending = [] if self._pending_normal is None else [self._pending_normal]
         draw = max(0, n - len(pending))
-        z = np.concatenate([pending, _lockstep_field(self._state[:, None], draw + draw % 2, True)[0]])
+        z = np.concatenate([pending, _lockstep_field(self._state[:, None], (draw + draw % 2,), True)[0]])
         self._pending_normal = float(z[n]) if len(z) > n else None
         return z[:n]
 
@@ -269,8 +276,7 @@ def next_units(states, shape=()) -> np.ndarray:
     (N,) + shape: entry j is unit_array(prod(shape)) of column j's stream,
     filled in row-major order. The default shape () draws one next_unit()
     per column."""
-    n = math.prod(int(dim) for dim in shape)
-    return _lockstep_field(states, n, False).reshape((states.shape[1],) + tuple(shape))
+    return _lockstep_field(states, shape, False)
 
 
 def next_ints(states, lo, hi) -> np.ndarray:
@@ -333,8 +339,25 @@ def lockstep_fields(states, shape) -> np.ndarray:
     (N,) + shape: entry j is the normal_field(shape) of a stream with state
     states[:, j] and no pending normal. The states advance as that call
     would; the pending normal an odd-sized field leaves is dropped."""
-    n = math.prod(int(dim) for dim in shape)
-    return _lockstep_field(states, n, True).reshape((states.shape[1],) + tuple(shape))
+    return _lockstep_field(states, shape, True)
+
+
+def needed_normals(states, shape, needed):
+    """Yields (columns, entries, normals) for the entries of
+    lockstep_fields(states, shape) that needed, a boolean array broadcast to
+    (N,) + shape, selects; entries index that field flattened. Exhausted, it
+    leaves the states where lockstep_fields would. Only pairs holding a
+    selected entry are converted, each into the members selected."""
+    n, width = math.prod(int(dim) for dim in shape), states.shape[1]
+    needed = np.moveaxis(np.broadcast_to(needed, (width,) + tuple(shape)), 0, -1)  # slabs gather as blocks
+    for start, block, _ in _slabs(states, n, True):
+        slab = needed[np.unravel_index(np.arange(start, min(n, start + _SLAB_ROWS)), shape)]
+        for parity, trig in enumerate((np.cos, np.sin)):
+            k = np.flatnonzero(slab[parity::2])  # pair k // width of column k % width
+            pair, cols = k // width, k % width
+            first = k + pair * width  # the pair's first member in block
+            z, = _box_muller(block.take(first) * _INV_2_53, block.take(first + width) * _INV_2_53, trig)
+            yield cols, cols * n + 2 * pair + (start + parity), z
 
 
 def lockstep_groups(n: int, multiple: int = 1) -> list:

@@ -456,6 +456,10 @@ NON_FINITE_CASES = {
                          "perturbation norm must be finite and >= 0, got nan"),
     "fourier-norm-inf": (["fourier", "--model", "{model}", "--norm", "inf"],
                          "perturbation norm must be finite and >= 0, got inf"),
+    "fourier-max-freq-nan": (["fourier", "--model", "{model}", "--norm", "1", "--max-freq", "nan"],
+                             "max_freq must be >= 0, got nan"),
+    "fourier-max-freq-negative": (["fourier", "--model", "{model}", "--norm", "1", "--max-freq", "-1"],
+                                  "max_freq must be >= 0, got -1.0"),
     "select-z-nan": (["select", "--z", "nan"], "clean accuracy threshold z is nan"),
     "augment-sigma-max-nan": (["augment", "--kind", "gaussian", "--sigma-max", "nan"],
                               "sigma_max must be finite and >= 0, got nan"),

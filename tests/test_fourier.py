@@ -411,6 +411,10 @@ def test_heatmap_errors():
     empty = LabeledDataset(np.zeros((0, 8, 8, 1)), np.zeros(0, dtype=np.int64))
     with pytest.raises(ValueError, match="empty dataset"):
         sensitivity_heatmap(ZeroPredictor(), empty, 1.0, "test_error", seed=0)
+    m, color = first_layer_case()
+    for probe in ("test_error", "first_layer"):
+        with pytest.raises(ValueError, match="no frequencies to probe"):
+            sensitivity_heatmap(m, color, 1.0, probe, seed=0, freqs=[])
 
 
 def test_heatmap_csv_round_trip():

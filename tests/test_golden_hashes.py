@@ -12,7 +12,8 @@ feature-layer cases (heatmaps, predict labels, the 3-channel flip-only
 checkpoint) cover more images than two feature chunks and batches that do
 not divide the dataset. The uneven-band cases pool on a 3x3 grid whose
 row bands differ in height (10/11/11 rows on 32x32, 4/4/5 on 13x11). The
-3-channel patch checkpoint and the CLI
+patch-edge cases pin patch Gaussian where few or all of a field's values
+are inside the patch. The 3-channel patch checkpoint and the CLI
 gaussian_noise tree cover uneven batches, crop rejection and a pending
 normal on the batch paths. The CLI corrupt trees (every other kind at
 severities 1 and 5) and the highpass tree run on 101 images of 1 and 3
@@ -30,7 +31,7 @@ import hashlib
 import numpy as np
 import pytest
 
-from robustaug.augment import AugmentSpec, run_pipeline
+from robustaug.augment import AugmentSpec, run_pipeline, run_pipeline_batch
 from robustaug.cli import main as cli_main
 from robustaug.cli import write_dataset
 from robustaug.corrupt import gaussian_eval_suite
@@ -363,3 +364,36 @@ def uneven_band_digest(name: str) -> str:
 @pytest.mark.parametrize("name", sorted(UNEVEN_BAND_DIGESTS))
 def test_uneven_band_digest(name):
     assert uneven_band_digest(name) == UNEVEN_BAND_DIGESTS[name], blas_environment()
+
+
+PATCH_EDGE_DIGESTS = {
+    "whole_image_patch": "a9bbd8b0d0d9bfd9adab7f488650d367faac8b2141631657242758db2808a88a",
+    "one_pixel_patch": "b2ca999c25d6b017f4919def770740ffb8465706869df197f2c59a46449ae69c",
+    "color_9x7_pad4_flipcrop_first": "3768e384f2ef0f0f576469cdb5ecc7b155f0949e3b75c0cf1130f947d05167b4",
+}
+
+
+def patch_edge_digest(name: str) -> str:
+    """Patch Gaussian batches of 37 1-channel 32x32 synth images and 37
+    3-channel 9x7 images (a 189-value field, whose pending normal is
+    dropped): a fixed patch twice the image side, which covers every pixel
+    from any center, so the output is whole-image noise from the full field;
+    one-pixel patches, fixed and sampled up to 1 (a draw-free size); and
+    sizes sampled up to 6 at pad 4, cropped before the noise."""
+    gray = synth_dataset(30, 37).images
+    color = np.random.default_rng(31).random((37, 9, 7, 3))
+    if name == "whole_image_patch":
+        specs = [(gray, AugmentSpec(kind="patch_gaussian", sigma_max=1.2, patch_size=64)),
+                 (color, AugmentSpec(kind="patch_gaussian", sigma_max=1.2, patch_size=18))]
+    elif name == "one_pixel_patch":
+        specs = [(images, AugmentSpec(kind="patch_gaussian", sigma_max=2.0, patch_size=1, sample_up_to=up_to))
+                 for images in (gray, color) for up_to in (False, True)]
+    else:
+        specs = [(color, AugmentSpec(kind="patch_gaussian", sigma_max=1.5, patch_size=6, sample_up_to=True,
+                                     pad=4, order="flipcrop_then_augment"))]
+    return _sha(*[run_pipeline_batch(images, spec, 32, range(len(images)), f"edge/{name}") for images, spec in specs])
+
+
+@pytest.mark.parametrize("name", sorted(PATCH_EDGE_DIGESTS))
+def test_patch_edge_digest(name):
+    assert patch_edge_digest(name) == PATCH_EDGE_DIGESTS[name], blas_environment()

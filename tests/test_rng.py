@@ -6,12 +6,14 @@ import numpy as np
 import pytest
 
 from robustaug import rng
+from robustaug.augment import rect_masks
 from robustaug.rng import (
     LOCKSTEP_STREAMS,
     derive_states,
     derive_stream,
     lockstep_fields,
     lockstep_groups,
+    needed_normals,
     next_ints,
     next_units,
     permutations,
@@ -164,6 +166,36 @@ def test_fields_across_slab_boundaries(kind, size, count):
             want = np.array([[ref.unit() for _ in range(size)] for ref in refs])
         assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
         assert np.array_equal(states, reference_states(refs))
+
+
+@pytest.mark.parametrize("shape", [(32, 32, 1), (9, 7, 3)])
+def test_needed_normals_match_lockstep_fields(shape):
+    """The needed-entries draw yields each selected entry of the full draw
+    once, bit for bit, and nothing else, and leaves the states where the
+    full draw leaves them; two draws in a row, so the second starts there.
+    The masks are squares of sizes 1 to 2h clipped at the edges, one all
+    True, one all False. (9, 7, 3) is 189 values: three slabs, the last odd,
+    whose pending normal is dropped; channels share their pixel's mask."""
+    h, w, _ = shape
+    count = 70
+    states = derive_states(41, range(count), "needed")
+    full = states.copy()
+    cols = np.arange(count)
+    masks = rect_masks(cols * 5 % w, cols * 3 % h, h, w, 1 + cols % (2 * h))
+    masks[0] = True
+    masks[1] = False
+    for _ in range(2):
+        got = np.full((count,) + shape, np.nan)
+        flat = got.reshape(-1)
+        for columns, entries, z in needed_normals(states, shape, masks[..., None]):
+            assert np.array_equal(columns, entries // (flat.size // count))
+            assert np.all(np.isnan(flat[entries]))
+            flat[entries] = z
+        want = lockstep_fields(full, shape)
+        selected = np.broadcast_to(masks[..., None], got.shape)
+        assert np.array_equal(got[selected].view(np.uint64), want[selected].view(np.uint64))
+        assert np.all(np.isnan(got[~selected]))
+        assert np.array_equal(states, full)
 
 
 def test_lockstep_groups_cover_whole_batches():
