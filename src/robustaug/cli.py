@@ -81,7 +81,7 @@ _BOOL = {"1": True, "true": True, "yes": True, "on": True,
 
 def _atomic_write(path, data: bytes) -> None:
     path = Path(path)
-    if path.parent != Path(""):
+    if not path.parent.is_dir():
         path.parent.mkdir(parents=True, exist_ok=True)
     tmp = path.with_name(path.name + ".tmp")
     tmp.write_bytes(data)
@@ -116,10 +116,11 @@ def load_dataset(path) -> LabeledDataset:
             raise ValueError(f"{p}: {files} .imgt files for {len(labels)} labels")
         if len(labels) == 0:
             raise ValueError(f"{p}: empty dataset, labels.txt lists no images")
-        images = np.empty((len(labels),) + decode_tensor((p / _image_name(0)).read_bytes()).shape)
         for i in range(len(labels)):
             image = decode_tensor((p / _image_name(i)).read_bytes())
-            if image.shape != images.shape[1:]:
+            if i == 0:
+                images = np.empty((len(labels),) + image.shape)
+            elif image.shape != images.shape[1:]:
                 raise ValueError(f"{p / _image_name(i)}: shape {image.shape} differs from {images.shape[1:]} of "
                                  f"{_image_name(0)}")
             images[i] = image

@@ -100,10 +100,10 @@ def dft2(channel: np.ndarray) -> np.ndarray:
 
 def idft2(spectrum: np.ndarray) -> np.ndarray:
     """Inverse unitary DFT of a centered spectrum.  The result must be real:
-    a residual imaginary part below the tolerance is discarded, anything
-    larger is an error."""
+    an imaginary part up to _IMAG_LIMIT times the result's largest magnitude
+    is rounding and is discarded, anything larger is an error."""
     back = np.fft.ifft2(np.fft.ifftshift(spectrum), norm="ortho")
-    if np.max(np.abs(back.imag), initial=0.0) >= _IMAG_LIMIT:
+    if np.max(np.abs(back.imag), initial=0.0) > _IMAG_LIMIT * np.max(np.abs(back), initial=0.0):
         raise ValueError("non-real inverse")
     return np.ascontiguousarray(back.real)
 
@@ -211,12 +211,12 @@ def _high_pass_raw(images: np.ndarray, radius: float) -> np.ndarray:
     one (h, w, c) image or an (n, h, w, c) stack, filtered plane by plane."""
     h, w = images.shape[-3:-1]
     # Masking the unshifted spectrum with the unshifted mask equals masking
-    # the centered spectrum with the centered one.
+    # the centered spectrum with the centered one. The mask depends only on
+    # |frequency|, so the masked spectrum of a real plane stays
+    # conjugate-symmetric and its inverse is real up to rounding.
     keep = np.fft.ifftshift(centered_distances(h, w) >= radius)[:, :, None]
     spectra = np.fft.fft2(images, axes=(-3, -2), norm="ortho")
     back = np.fft.ifft2(spectra * keep, axes=(-3, -2), norm="ortho")
-    if np.max(np.abs(back.imag), initial=0.0) >= _IMAG_LIMIT:
-        raise ValueError("non-real inverse")
     # Removing the DC coefficient zero-centers each plane; shift it back to
     # mid-gray so the output stays viewable.
     return back.real + 0.5 if radius > 0.0 else np.ascontiguousarray(back.real)

@@ -11,9 +11,10 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+import robustaug.cli as cli_module
 from robustaug.cli import _contact_sheet, load_dataset, main, parse_config, write_dataset
 from robustaug.corrupt import SIGMA_SUITE
-from robustaug.images import decode_tensor, encode_tensor
+from robustaug.images import LabeledDataset, decode_tensor, encode_tensor
 from robustaug.model import decode_model, synth_dataset
 
 
@@ -154,6 +155,17 @@ def test_corrupt_table_without_the_kind_exits_1_naming_the_file(tmp_path, capsys
     assert run("corrupt", "--input", d, "--output", out, "--kind", "contrast", "--severity", "1",
                "--table", table) == 1
     assert capsys.readouterr().err == f"error: {table}: severity table has no rows for contrast\n"
+    assert not out.exists()
+
+
+def test_corrupt_table_with_an_unknown_kind_exits_1_naming_the_file(tmp_path, capsys):
+    d = make_synth(tmp_path, count=4)
+    table, out = tmp_path / "table.txt", tmp_path / "out"
+    table.write_text("".join(f"{kind} {level} {0.1 * level}\n" for kind in ("brightness", "fog")
+                             for level in range(1, 6)))
+    assert run("corrupt", "--input", d, "--output", out, "--kind", "brightness", "--severity", "1",
+               "--table", table) == 1
+    assert capsys.readouterr().err == f"error: {table}: unknown corruption kind: 'fog'\n"
     assert not out.exists()
 
 
@@ -505,6 +517,23 @@ def test_image_beyond_float32_mid_dataset_leaves_no_files(tmp_path, value):
     d.images[4, 7, 3, 0] = math.copysign(float(np.finfo(np.float32).max), value)  # the largest float32 is kept
     write_dataset(d, tmp_path / "out")
     assert load_dataset(tmp_path / "out").images[4, 7, 3, 0] == d.images[4, 7, 3, 0]
+
+
+def test_two_channel_images_leave_no_files(tmp_path):
+    with pytest.raises(ValueError, match=r"bad dimensions: \(4, 4, 2\)"):
+        write_dataset(LabeledDataset(np.zeros((3, 4, 4, 2)), np.zeros(3, dtype=np.int64)), tmp_path / "out")
+    assert not (tmp_path / "out").exists()
+
+
+def test_load_decodes_each_file_once_and_a_write_makes_its_directory_once(tmp_path, monkeypatch):
+    d, decoded, made = synth_dataset(0, 5), [], []
+    decode, mkdir = cli_module.decode_tensor, Path.mkdir
+    monkeypatch.setattr(cli_module, "decode_tensor", lambda data: decoded.append(1) or decode(data))
+    monkeypatch.setattr(Path, "mkdir", lambda self, *a, **k: made.append(self) or mkdir(self, *a, **k))
+    write_dataset(d, tmp_path / "data")
+    assert made == [tmp_path / "data"]
+    assert np.array_equal(load_dataset(tmp_path / "data").images, d.images.astype(np.float32))
+    assert len(decoded) == 5
 
 
 def test_failed_command_leaves_no_output(tmp_path, capsys):

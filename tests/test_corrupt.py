@@ -315,6 +315,8 @@ def test_severity_table_validation():
     bad["brightness"] = (0.05, 0.05, 0.15, 0.20, 0.30)
     with pytest.raises(ValueError, match="monotone"):
         validate_severity_table(bad)
+    with pytest.raises(ValueError, match="brightness: need exactly 5 severity parameters, got 4"):
+        validate_severity_table({"brightness": (0.05, 0.1, 0.15, 0.2)})
     with pytest.raises(ValueError, match="levels must be exactly"):
         parse_severity_table("brightness 1 0.05\nbrightness 2 0.1\n")
     with pytest.raises(ValueError, match="expected"):

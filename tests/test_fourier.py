@@ -88,6 +88,8 @@ def test_dft_impulse_flat_spectrum():
     mags = np.abs(dft2(x))
     assert np.max(np.abs(mags - 0.25)) < 1e-12
     assert np.max(np.abs(np.abs(dft2_direct(x)) - 0.25)) < 1e-12
+    with pytest.raises(ValueError, match="expected a 2d channel"):
+        dft2(x[:, :, None])
 
 
 def test_round_trip_and_parseval():
@@ -109,10 +111,19 @@ def test_inverse_of_direct_oracle_matches():
 
 
 def test_non_real_inverse_rejected():
-    coeff = np.zeros((4, 4), dtype=complex)
-    coeff[2, 3] = 1.0  # lone asymmetric coefficient
-    with pytest.raises(ValueError, match="non-real inverse"):
-        idft2(coeff)
+    for scale in (1e-10, 1.0, 1e10):  # judged against the result's magnitude
+        coeff = np.zeros((4, 4), dtype=complex)
+        coeff[2, 3] = scale  # lone asymmetric coefficient
+        with pytest.raises(ValueError, match="non-real inverse"):
+            idft2(coeff)
+
+
+def test_inverse_and_high_pass_are_linear_at_scale_1e10():
+    # there a real plane's rounding residue is far above 1e-6
+    x = np.random.default_rng(19).random((16, 16))
+    assert np.max(np.abs(idft2(dft2(x * 1e10)) / 1e10 - x)) < 1e-9
+    high = (_high_pass_raw(x[:, :, None] * 1e10, 6.0) - 0.5) / 1e10
+    assert np.max(np.abs(high - (_high_pass_raw(x[:, :, None], 6.0) - 0.5))) < 1e-9
 
 
 def test_basis_dc_is_constant():
@@ -406,6 +417,8 @@ def test_heatmap_errors():
     d = small_dataset()
     with pytest.raises(ValueError, match="unknown probe"):
         sensitivity_heatmap(ZeroPredictor(), d, 1.0, "logits", seed=0)
+    with pytest.raises(ValueError, match="unknown probe: logits"):
+        FourierHeatmap(probe="logits", norm=1.0, seed=0)
     with pytest.raises(ValueError, match="probe unsupported by model"):
         sensitivity_heatmap(ZeroPredictor(), d, 1.0, "first_layer", seed=0)
     empty = LabeledDataset(np.zeros((0, 8, 8, 1)), np.zeros(0, dtype=np.int64))
@@ -415,6 +428,9 @@ def test_heatmap_errors():
     for probe in ("test_error", "first_layer"):
         with pytest.raises(ValueError, match="no frequencies to probe"):
             sensitivity_heatmap(m, color, 1.0, probe, seed=0, freqs=[])
+    black = LabeledDataset(np.zeros((3, 8, 8, 3)), np.zeros(3, dtype=np.int64))  # every activation is 0
+    with pytest.raises(ValueError, match="zero clean activation norm"):
+        sensitivity_heatmap(m, black, 1.0, "first_layer", seed=0, freqs=[(0, 1)])
 
 
 def test_heatmap_csv_round_trip():

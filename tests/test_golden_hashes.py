@@ -38,6 +38,7 @@ from robustaug.corrupt import gaussian_eval_suite
 from robustaug.fourier import format_heatmap_csv, half_plane_frequencies, sensitivity_heatmap
 from robustaug.images import LabeledDataset, channel_mean
 from robustaug.model import TrainConfig, encode_model, first_layer, init_toy_model, predict, synth_dataset, train
+from robustaug.parallel import openblas_functions
 from robustaug.rng import derive_stream
 
 
@@ -49,25 +50,10 @@ def blas_environment() -> str:
         notes = [f"numpy {np.__version__} built with {blas['name']} {blas['version']}"]
     except (TypeError, KeyError):  # numpy before 1.26 reports no dict
         notes = [f"numpy {np.__version__}"]
-    try:
-        with open("/proc/self/maps", encoding="ascii", errors="replace") as f:
-            paths = sorted({line.split()[-1] for line in f if "openblas" in line.lower()})
-    except OSError:
-        paths = []
-    for path in paths:
-        try:
-            lib = ctypes.CDLL(path)
-        except OSError:  # a mapping of a file since deleted or replaced
-            continue
-        for prefix in ("", "scipy_"):
-            for suffix in ("", "64_"):
-                config = getattr(lib, f"{prefix}openblas_get_config{suffix}", None)
-                threads = getattr(lib, f"{prefix}openblas_get_num_threads{suffix}", None)
-                if config is not None and threads is not None:
-                    config.argtypes, config.restype = [], ctypes.c_char_p
-                    threads.argtypes, threads.restype = [], ctypes.c_int
-                    notes.append(f"{path.rsplit('/', 1)[-1]}: {config().decode('ascii', 'replace')}, "
-                                 f"{threads()} threads")
+    for config, threads in zip(openblas_functions("get_config"), openblas_functions("get_num_threads")):
+        config.argtypes, config.restype = [], ctypes.c_char_p
+        threads.argtypes, threads.restype = [], ctypes.c_int
+        notes.append(f"{config().decode('ascii', 'replace')}, {threads()} threads")
     return "; ".join(notes)
 
 

@@ -144,6 +144,8 @@ def test_imgt_decode_errors_are_distinct():
 def test_imgt_encode_rejects_non_finite():
     with pytest.raises(ValueError, match="non-finite"):
         encode_tensor(np.full((1, 1, 1), np.inf))
+    with pytest.raises(ValueError, match=r"shape mismatch: expected \(H,W,C\), got \(2, 1, 1, 1\)"):
+        encode_tensor(np.zeros((2, 1, 1, 1)))
 
 
 def test_ppm_white_pixel():

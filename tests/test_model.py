@@ -68,6 +68,9 @@ def test_init_filter_variance():
 def test_init_validation():
     with pytest.raises(ValueError, match="bad dimensions"):
         init_toy_model(0, k=0, c=1, g=2, classes=2)
+    for k, c, g in ((0, 1, 2), (1, 0, 2), (1, 1, 0)):  # each head is shaped to match
+        with pytest.raises(ValueError, match="bad dimensions"):
+            ToyModel(np.zeros((k, 3, 3, c)), np.zeros((k * g * g + 1, 2)), g)
 
 
 def test_zero_head_predicts_class_zero():

@@ -1,6 +1,7 @@
 """Forked parallel map: index order, failures, worker lifetime, the BLAS
 pin, and training that gives the same checkpoint at every worker count."""
 
+import io
 import multiprocessing
 import os
 import subprocess
@@ -10,9 +11,10 @@ from pathlib import Path
 
 import pytest
 
+import robustaug.parallel as parallel
 from robustaug.augment import AugmentSpec
 from robustaug.model import TrainConfig, encode_model, init_toy_model, synth_dataset, train
-from robustaug.parallel import indexed_map
+from robustaug.parallel import indexed_map, openblas_functions
 
 
 def square_plus_index(i):
@@ -56,6 +58,27 @@ def test_without_fork_items_run_here_and_a_warning_says_so(monkeypatch):
     pid = os.getpid()
     with pytest.warns(RuntimeWarning, match="fork"):
         assert list(indexed_map(lambda i: (i, os.getpid()), 3, 2)) == [(i, pid) for i in range(3)]
+
+
+def test_an_item_may_run_a_map_of_its_own():
+    # each worker gets its item function at start-up, and the caller never holds one
+    scale = 10
+
+    def outer(i):
+        return list(indexed_map(lambda j: scale * i + j, 3, 2))
+
+    results = indexed_map(outer, 4, 2)
+    assert next(results) == [0, 1, 2] and parallel._fn is None
+    assert list(results) == [[10 * i + j for j in range(3)] for i in range(1, 4)]
+
+
+def test_a_deleted_openblas_is_reached_by_its_file_name(monkeypatch):
+    live = openblas_functions("get_num_threads")
+    with open("/proc/self/maps", encoding="ascii", errors="replace") as f:  # as if every file were replaced
+        maps = "".join(line.rstrip("\n") + " (deleted)\n" for line in f)
+    maps += "7f0000000000-7f0000001000 r-xp 00000000 fe:00 1  /gone/libopenblas.so (deleted)\n"
+    monkeypatch.setattr(parallel, "open", lambda *_a, **_k: io.StringIO(maps), raising=False)
+    assert len(openblas_functions("get_num_threads")) == len(live)
 
 
 def test_each_worker_runs_one_blas_thread():
