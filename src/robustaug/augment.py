@@ -30,14 +30,15 @@ cutout_batch, _flip_and_crop_batch). run_pipeline is a batch of one.
 
 Patch Gaussian's "aug" stream steps through the whole field, but only the
 normals inside the patch are computed (rng.needed_normals) and written into
-the output as clip_unit(x + sigma * z); pixels outside stay bit-identical.
-The pipeline returns a new array and never writes to its input: kernels
-work in place only on arrays it owns.
+the batch as clip(x + sigma * z); pixels outside stay bit-identical.
+run_pipeline_batch copies its input once, C-ordered, and never writes to it;
+later kernels work in place, but Gaussian and Cutout build new arrays.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from numbers import Integral
 
 import numpy as np
 
@@ -70,10 +71,10 @@ class AugmentSpec:
             raise ValueError(f"unknown pipeline order: {self.order!r}")
         if not 0 <= self.sigma_max < np.inf:  # also true for nan
             raise ValueError(f"sigma_max must be finite and >= 0, got {self.sigma_max!r}")
-        if self.patch_size < 1:
-            raise ValueError("patch_size must be >= 1")
-        if self.pad < 0:
-            raise ValueError("pad must be >= 0")
+        if not isinstance(self.patch_size, Integral) or self.patch_size < 1:
+            raise ValueError(f"patch_size must be an integer >= 1, got {self.patch_size!r}")
+        if not isinstance(self.pad, Integral) or self.pad < 0:
+            raise ValueError(f"pad must be an integer >= 0, got {self.pad!r}")
 
 
 def rect_masks(cx, cy, h: int, w: int, patch) -> np.ndarray:
@@ -94,7 +95,7 @@ def rect_masks(cx, cy, h: int, w: int, patch) -> np.ndarray:
 
 
 def gaussian_batch(images: np.ndarray, sigma, noise: np.ndarray, out=None) -> np.ndarray:
-    """clip_unit(images[i] + sigma[i] * noise[i]) for each image of an
+    """clip(images[i] + sigma[i] * noise[i], 0, 1) for each image of an
     (n, h, w, c) batch, with one sigma per image. The result is written to
     out, which may be noise itself, or to a new array."""
     if noise.shape != images.shape:
@@ -136,12 +137,12 @@ def run_pipeline(img: np.ndarray, spec: AugmentSpec, rng: RngStream) -> np.ndarr
 
 
 def _augment_batch(images: np.ndarray, spec: AugmentSpec, states) -> np.ndarray:
-    """The spec's augmentation, as a new array, over a batch whose "aug"
-    draws come from the columns of states; all prefix draws precede the
-    lockstep noise fields."""
+    """The spec's augmentation of a batch whose "aug" draws come from the
+    columns of states; all prefix draws precede the lockstep noise fields.
+    None and Patch Gaussian work in place on images and return it."""
     _, h, w, c = images.shape
     if spec.kind == "none":
-        return images.copy()
+        return images
     if spec.kind == "gaussian":
         sigma = spec.sigma_max * next_units(states)
         noise = lockstep_fields(states, (h, w, c))
@@ -156,16 +157,16 @@ def _augment_batch(images: np.ndarray, spec: AugmentSpec, states) -> np.ndarray:
     if spec.kind == "cutout":
         return cutout_batch(images, masks, spec.fill)
     sigma = spec.sigma_max * next_units(states)
-    flat = images.flatten()
+    flat = images.reshape(-1)
     for cols, entries, z in needed_normals(states, (h, w, c), masks[..., None]):
         flat[entries] = np.clip(flat[entries] + sigma[cols] * z, 0.0, 1.0)
-    return flat.reshape(images.shape)
+    return images
 
 
-def _flip_and_crop_batch(images: np.ndarray, flips: np.ndarray, pad: int, offsets, in_place=False) -> np.ndarray:
-    """Mirror the images whose flips entry is set (at pad 0 in place or in a
-    copy), then zero-pad by pad and crop back to size at the drawn (ox, oy)
-    offsets, each an (n,) array, as one gather into a new array.
+def _flip_and_crop_batch(images: np.ndarray, flips: np.ndarray, pad: int, offsets) -> np.ndarray:
+    """Mirror the images whose flips entry is set, in place at pad 0;
+    otherwise zero-pad by pad and crop back to size at the drawn (ox, oy)
+    offsets, each an (n,) array, mirroring in the same gather into a new array.
 
     An offset pair is the translation of the content measured from its most
     up-left position: with offsets (0, 0) the content sits flush with the
@@ -174,7 +175,6 @@ def _flip_and_crop_batch(images: np.ndarray, flips: np.ndarray, pad: int, offset
     """
     n, h, w, c = images.shape
     if pad == 0:
-        images = images if in_place else images.copy()
         images[flips] = mirror(images[flips])
         return images
     ox, oy = offsets
@@ -199,7 +199,7 @@ def run_pipeline_batch(images, spec: AugmentSpec, seed: int, indices, tag: str) 
     flip and crop are gathers, so a batch's entries do not depend on each
     other.
     """
-    images = np.asarray(images, dtype=np.float64)
+    images = np.array(images, dtype=np.float64, order="C")  # the one copy; the kernels write through its flat view
     if len(indices) != len(images):
         raise ValueError(f"{len(indices)} indices for {len(images)} images")
     aug = derive_states(seed, indices, child_tag_of(tag, "aug"))
@@ -210,5 +210,4 @@ def run_pipeline_batch(images, spec: AugmentSpec, seed: int, indices, tag: str) 
         offsets = next_ints(flipcrop, 0, 2 * spec.pad), next_ints(flipcrop, 0, 2 * spec.pad)
     if spec.order == "flipcrop_then_augment":
         return _augment_batch(_flip_and_crop_batch(images, flips, spec.pad, offsets), spec, aug)
-    # The augmented batch is a new array, so it is mirrored in place.
-    return _flip_and_crop_batch(_augment_batch(images, spec, aug), flips, spec.pad, offsets, in_place=True)
+    return _flip_and_crop_batch(_augment_batch(images, spec, aug), flips, spec.pad, offsets)

@@ -239,6 +239,8 @@ def cmd_augment(args) -> int:
 
 
 def cmd_corrupt(args) -> int:
+    if args.suite and any(getattr(args, key) is not None for key in ("kind", "severity", "param", "table")):
+        raise ValueError("--suite takes none of --kind / --severity / --param / --table")
     d = load_dataset(_req(args, "input"))
     out = Path(_req(args, "output"))
     if args.suite:

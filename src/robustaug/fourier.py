@@ -19,7 +19,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .images import LabeledDataset, clip_unit
+from .images import LabeledDataset
 from .metrics import accuracy
 from .parallel import indexed_map
 from .rng import derive_states, lockstep_groups, next_units
@@ -140,7 +140,7 @@ def perturb_with_basis(images: np.ndarray, basis: np.ndarray, v: float, states) 
     if states.shape[1] != len(images):
         raise ValueError(f"{states.shape[1]} streams for {len(images)} images")
     signs = np.where(next_units(states) < 0.5, -1.0, 1.0)
-    return clip_unit(images + (signs * v)[:, None, None, None] * basis[None, :, :, None])
+    return np.clip(images + (signs * v)[:, None, None, None] * basis[None, :, :, None], 0.0, 1.0)
 
 
 def sensitivity_heatmap(

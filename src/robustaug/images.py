@@ -30,11 +30,6 @@ IMGT_MAGIC = b"IMGT"
 _MAX_ELEMENTS = 2**31
 
 
-def clip_unit(t: np.ndarray) -> np.ndarray:
-    """Clamp intensities to [0, 1]."""
-    return np.clip(t, 0.0, 1.0)
-
-
 @dataclass
 class LabeledDataset:
     """Uniformly shaped images (N, H, W, C) with aligned integer labels."""

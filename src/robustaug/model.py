@@ -15,14 +15,14 @@ a small binary checkpoint format.
 import math
 import struct
 from dataclasses import dataclass
+from numbers import Integral
 
 import numpy as np
 
 from .augment import AugmentSpec, draw_flips, flip_only, mirror, run_pipeline_batch
 from .images import LabeledDataset
 from .parallel import indexed_map
-from .rng import (child_tag_of, derive_states, derive_stream, lockstep_fields, lockstep_groups, next_ints, next_units,
-                  permutations)
+from .rng import child_tag_of, derive_states, lockstep_fields, lockstep_groups, next_ints, next_units, permutations
 
 TOYM_MAGIC = b"TOYM"
 _TOYM_VERSION = 1
@@ -105,12 +105,12 @@ class TrainConfig:
     augment: AugmentSpec = AugmentSpec()
 
     def __post_init__(self):
-        if self.epochs < 1:
-            raise ValueError("epochs must be >= 1")
+        if not isinstance(self.epochs, Integral) or self.epochs < 1:
+            raise ValueError(f"epochs must be an integer >= 1, got {self.epochs!r}")
         if not (self.learning_rate >= 0.0 and math.isfinite(self.learning_rate)):
             raise ValueError("learning rate must be finite and >= 0")
-        if self.batch_size < 1:
-            raise ValueError("batch size must be >= 1")
+        if not isinstance(self.batch_size, Integral) or self.batch_size < 1:
+            raise ValueError(f"batch size must be an integer >= 1, got {self.batch_size!r}")
 
 
 def init_toy_model(seed: int, k: int, c: int, g: int, classes: int) -> ToyModel:
@@ -119,9 +119,7 @@ def init_toy_model(seed: int, k: int, c: int, g: int, classes: int) -> ToyModel:
     (k, 3, 3, c) order, so equal seeds give bit-equal models."""
     if min(k, c, g, classes) < 1:
         raise ValueError("bad dimensions")
-    stream = derive_stream(seed, 0, "filters")
-    scale = 1.0 / math.sqrt(9.0 * c)
-    filters = (stream.normal_array(k * 9 * c) * scale).reshape(k, 3, 3, c)
+    filters = lockstep_fields(derive_states(seed, [0], "filters"), (k, 3, 3, c))[0] * (1.0 / math.sqrt(9.0 * c))
     return ToyModel(filters=filters, head=np.zeros((k * g * g + 1, classes)), pool_grid=g)
 
 

@@ -41,8 +41,8 @@ and where a slab ends, never changes a bit.
 
 RngStream is one such column with its origin record and the pending normal
 an odd-sized normal draw leaves; each method runs the state-array draw on a
-(4, 1) view of its state. The package draws from single streams only for
-the model filters; perfbench's tracer wraps the methods by name.
+(4, 1) view of its state. The package draws only through state arrays;
+perfbench's tracer wraps the methods by name.
 """
 
 import math
@@ -92,11 +92,10 @@ def _fnv1a64(text: str) -> int:
     return h
 
 
-def _lockstep_u64(states, n: int, scratch=None) -> np.ndarray:
+def _lockstep_u64(states, n: int) -> np.ndarray:
     """(n, N) outputs; column j is the next n next_u64() of the stream whose
     four state words are states[:, j]. states, a (4, N) uint64 array, is
-    advanced in place; scratch, if given, is an (n, N) 8-byte buffer the
-    scrambler may overwrite."""
+    advanced in place."""
     # Per-call overhead, not arithmetic, is the cost of a step at these
     # widths; separate word arrays and array shift counts keep it lowest.
     s0, s2, s3 = (states[k].copy() for k in (0, 2, 3))
@@ -118,7 +117,7 @@ def _lockstep_u64(states, n: int, scratch=None) -> np.ndarray:
     states[0], states[1], states[2], states[3] = s0, rows[n], s2, s3
     # Scramble the recorded s1 history: rotl(s1 * 5, 7) * 9.
     block = block[:n]
-    scratch = np.empty_like(block) if scratch is None else scratch.view(np.uint64)
+    scratch = np.empty_like(block)
     block *= _U5
     np.left_shift(block, _U7, out=scratch)
     block >>= _U57
@@ -129,14 +128,13 @@ def _lockstep_u64(states, n: int, scratch=None) -> np.ndarray:
 
 def _slabs(states, n: int, pairs: bool):
     """Step states through n values, _SLAB_ROWS steps (whole pairs if pairs)
-    at a time, yielding each slab's first position, its (rows, N) block of
-    u64 >> 11 values and the float buffer the scrambler used as scratch."""
+    at a time, yielding each slab's first position and its (rows, N) block
+    of u64 >> 11 values."""
     for start in range(0, n, _SLAB_ROWS):
         rows = min(_SLAB_ROWS, n - start)
-        u = np.empty((rows + rows % 2 if pairs else rows, states.shape[1]))
-        block = _lockstep_u64(states, len(u), scratch=u)
+        block = _lockstep_u64(states, rows + rows % 2 if pairs else rows)
         block >>= _U11
-        yield start, block, u
+        yield start, block
 
 
 def _lockstep_field(states, shape, normal: bool) -> np.ndarray:
@@ -145,8 +143,8 @@ def _lockstep_field(states, shape, normal: bool) -> np.ndarray:
     place, and the pending normal of an odd-sized field is dropped."""
     n = math.prod(int(dim) for dim in shape)
     out = np.empty((states.shape[1], n))
-    for start, block, u in _slabs(states, n, normal):
-        np.multiply(block, _INV_2_53, out=u)
+    for start, block in _slabs(states, n, normal):
+        u = block * _INV_2_53
         if normal:
             u[0::2], u[1::2] = _box_muller(u[0::2], u[1::2], np.cos, np.sin)
         out[:, start:start + len(u)] = u[:n - start].T
@@ -350,7 +348,7 @@ def needed_normals(states, shape, needed):
     selected entry are converted, each into the members selected."""
     n, width = math.prod(int(dim) for dim in shape), states.shape[1]
     needed = np.moveaxis(np.broadcast_to(needed, (width,) + tuple(shape)), 0, -1)  # slabs gather as blocks
-    for start, block, _ in _slabs(states, n, True):
+    for start, block in _slabs(states, n, True):
         slab = needed[np.unravel_index(np.arange(start, min(n, start + _SLAB_ROWS)), shape)]
         for parity, trig in enumerate((np.cos, np.sin)):
             k = np.flatnonzero(slab[parity::2])  # pair k // width of column k % width

@@ -7,15 +7,12 @@ with the batch kernels and lockstep draws of the package. Tests compare
 run_pipeline_batch against run_pipeline here, and script the draws of these
 samplers with stand-in streams to pin the documented order.
 
-This module imports robustaug.images for clip_unit only and never
-robustaug.augment.
+This module imports nothing from robustaug.
 """
 
 from dataclasses import dataclass
 
 import numpy as np
-
-from robustaug.images import clip_unit
 
 
 @dataclass(frozen=True)
@@ -48,7 +45,7 @@ def sample_patch_bounds(rng, h, w, patch):
 
 
 def gaussian_kernel(img, sigma, noise):
-    return clip_unit(img + sigma * noise)
+    return np.clip(img + sigma * noise, 0.0, 1.0)
 
 
 def patch_gaussian_kernel(img, rect, sigma, noise):

@@ -325,9 +325,9 @@ def test_cutout_locality_replay():
 
 def test_flip_and_crop_pad_zero_identity_or_mirror():
     img = np.arange(12, dtype=np.float64).reshape(1, 2, 2, 3) / 12.0
-    out = _flip_and_crop_batch(img, np.array([False]), 0, None)
+    out = _flip_and_crop_batch(img.copy(), np.array([False]), 0, None)
     assert np.array_equal(out, img)
-    out = _flip_and_crop_batch(img, np.array([True]), 0, None)
+    out = _flip_and_crop_batch(img.copy(), np.array([True]), 0, None)
     assert np.array_equal(out, img[:, :, ::-1, :])
 
 
@@ -486,6 +486,12 @@ def test_spec_validation():
         AugmentSpec(patch_size=0)
     with pytest.raises(ValueError, match="pad"):
         AugmentSpec(pad=-1)
+    for field in ("patch_size", "pad"):
+        for bad in (2.5, 3.0, "2"):
+            with pytest.raises(ValueError, match=field):
+                AugmentSpec(**{field: bad})
+    spec = AugmentSpec(kind="patch_gaussian", sigma_max=1.0, patch_size=np.int64(3), pad=np.int32(1))
+    assert run_pipeline_batch(np.zeros((2, 6, 6, 1)), spec, 0, [0, 1], "np").shape == (2, 6, 6, 1)
 
 
 def test_apply_augment_none_copies():
@@ -499,14 +505,31 @@ def test_apply_augment_none_copies():
 @pytest.mark.parametrize("order", ORDERS)
 @pytest.mark.parametrize("kind", KINDS)
 def test_pipeline_batch_leaves_its_input_unchanged(kind, order, pad):
-    # The kernels work in place on arrays the pipeline owns; the input is not one.
+    # The kernels work in place on the pipeline's copy; a write into the input raises.
     images = np.random.default_rng(4).random((6, 9, 7, 3))
+    images.setflags(write=False)
     before = images.copy()
     spec = AugmentSpec(kind=kind, sigma_max=1.0, patch_size=4, sample_up_to=True, fill=(0.5, 0.5, 0.5),
                        order=order, pad=pad)
     out = run_pipeline_batch(images, spec, 2, range(6), "immutable")
     assert np.array_equal(images, before)
     assert not np.shares_memory(out, images)
+
+
+@pytest.mark.parametrize("pad", [0, 4])
+@pytest.mark.parametrize("order", ORDERS)
+@pytest.mark.parametrize("kind", KINDS)
+def test_pipeline_batch_ignores_its_input_layout(kind, order, pad):
+    # The kernels write through a flat view of the pipeline's copy, so that copy
+    # must be C-ordered whatever the input's layout.
+    images = np.random.default_rng(6).random((6, 9, 7, 3))
+    spec = AugmentSpec(kind=kind, sigma_max=1.0, patch_size=4, sample_up_to=True, fill=(0.5, 0.5, 0.5),
+                       order=order, pad=pad)
+    expected = run_pipeline_batch(images, spec, 3, range(6), "layout")
+    transposed = np.ascontiguousarray(images.transpose(3, 0, 1, 2)).transpose(1, 2, 3, 0)
+    for batch in (np.asfortranarray(images), transposed):
+        assert np.array_equal(batch, images) and not batch.flags.c_contiguous
+        assert np.array_equal(run_pipeline_batch(batch, spec, 3, range(6), "layout"), expected)
 
 
 def test_gaussian_batch_leaves_its_inputs_unchanged():

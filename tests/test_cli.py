@@ -196,6 +196,18 @@ def test_corrupt_suite_layout_and_determinism(tmp_path):
     assert dir_bytes(a) == dir_bytes(b)
 
 
+@pytest.mark.parametrize("given", [["--kind", "brightness", "--severity", "3"], ["--kind", "brightness"],
+                                   ["--severity", "3"], ["--param", "0.2"], ["--table", "table.txt"],
+                                   ["--config", "suite.cfg"]])
+def test_corrupt_suite_refuses_one_corruption_flags(tmp_path, capsys, monkeypatch, given):
+    d, out = make_synth(tmp_path, count=4), tmp_path / "out"
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "suite.cfg").write_text("kind = brightness\nseverity = 3\n")
+    assert run("corrupt", "--input", d, "--output", out, "--suite", *given) == 1
+    assert capsys.readouterr().err == "error: --suite takes none of --kind / --severity / --param / --table\n"
+    assert not out.exists()
+
+
 def test_mce_self_baseline_prints_unity(tmp_path, capsys):
     rows = ["kind,severity,error"]
     for kind in ("gaussian_noise", "brightness"):

@@ -17,7 +17,7 @@ from robustaug.corrupt import (
     parse_severity_table,
     validate_severity_table,
 )
-from robustaug.images import LabeledDataset, clip_unit
+from robustaug.images import LabeledDataset
 from robustaug.rng import derive_stream
 
 
@@ -76,10 +76,10 @@ def scalar_noise(img, kind, param, rng):
     """Reference noise kinds on one image, drawing from one RngStream in the
     order the corrupt module documents."""
     if kind == "gaussian_noise":
-        return clip_unit(img + param * rng.normal_field(img.shape))
+        return np.clip(img + param * rng.normal_field(img.shape), 0.0, 1.0)
     if kind == "shot_noise":
         u = rng.unit_array(img.size).reshape(img.shape)
-        return clip_unit(np.maximum(stats.poisson.ppf(u, img * param), 0.0) / param)
+        return np.clip(np.maximum(stats.poisson.ppf(u, img * param), 0.0) / param, 0.0, 1.0)
     u = rng.unit_array(img.shape[0] * img.shape[1]).reshape(img.shape[:2])
     out = img.copy()
     out[u < param / 2] = 0.0

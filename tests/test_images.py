@@ -10,7 +10,6 @@ from robustaug.images import (
     IMGT_MAGIC,
     LabeledDataset,
     channel_mean,
-    clip_unit,
     decode_tensor,
     encode_tensor,
     read_cifar10_batch,
@@ -21,22 +20,6 @@ from robustaug.images import (
 def f32_grid(rng, shape):
     """Random values that are exactly representable at single precision."""
     return rng.random(shape).astype(np.float32).astype(np.float64)
-
-
-def test_clip_unit_examples():
-    t = np.array([[[-0.25, 0.5, 1.5]]])
-    assert np.array_equal(clip_unit(t), np.array([[[0.0, 0.5, 1.0]]]))
-
-
-def test_clip_unit_idempotent_and_bounded():
-    rng = np.random.default_rng(0)
-    t = rng.normal(0.5, 1.0, size=(16, 16, 3))
-    once = clip_unit(t)
-    assert np.array_equal(clip_unit(once), once)
-    assert once.min() >= 0.0 and once.max() <= 1.0
-    # Values already inside are untouched.
-    inside = (t >= 0.0) & (t <= 1.0)
-    assert np.array_equal(once[inside], t[inside])
 
 
 def test_channel_mean_hand_value():

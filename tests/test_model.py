@@ -341,6 +341,12 @@ def test_train_validation():
         TrainConfig(learning_rate=-0.1)
     with pytest.raises(ValueError, match="batch size"):
         TrainConfig(batch_size=0)
+    for field, name in (("epochs", "epochs"), ("batch_size", "batch size")):
+        for bad in (2.5, 3.0, "2"):
+            with pytest.raises(ValueError, match=name):
+                TrainConfig(**{field: bad})
+    cfg = TrainConfig(epochs=np.int64(2), batch_size=np.int32(3))
+    assert (cfg.epochs, cfg.batch_size) == (2, 3)
 
 
 def test_predict_thread_safe_reads():
