@@ -8,8 +8,10 @@ interior to pure 0/1 noise, an approximation of Cutout.
 
 run_pipeline_batch augments a batch of images addressed by origin (seed,
 index, tag). Image i draws from the "aug" and "flipcrop" children of its
-origin in a fixed, documented order, so runs are reproducible across
-processes, batch boundaries and implementations:
+origin, the streams tagged tag + "/aug" and tag + "/flipcrop" (the bare
+child name when tag is empty; only this module names them), in a fixed,
+documented order, so runs are reproducible across processes, batch
+boundaries and implementations:
 
     aug, gaussian        sigma = sigma_max * unit, then one normal per
                          element (row-major, channel-interleaved)
@@ -26,7 +28,8 @@ processes, batch boundaries and implementations:
 It builds no stream per image: it derives the state arrays of the batch's
 children, makes each draw for the whole batch in lockstep, and hands the
 draws to kernels that run on the whole batch (rect_masks, gaussian_batch,
-cutout_batch, _flip_and_crop_batch). run_pipeline is a batch of one.
+cutout_batch, _flip_and_crop_batch). flipcrop_draws makes the "flipcrop"
+draws alone; run_pipeline is a batch of one.
 
 Patch Gaussian's "aug" stream steps through the whole field, but only the
 normals inside the patch are computed (rng.needed_normals) and written into
@@ -42,7 +45,7 @@ from numbers import Integral
 
 import numpy as np
 
-from .rng import RngStream, child_tag_of, derive_states, lockstep_fields, needed_normals, next_ints, next_units
+from .rng import derive_states, lockstep_fields, needed_normals, next_ints, next_units
 
 KINDS = ("none", "gaussian", "cutout", "patch_gaussian")
 ORDERS = ("augment_then_flipcrop", "flipcrop_then_augment")
@@ -118,10 +121,18 @@ def mirror(images: np.ndarray) -> np.ndarray:
     return images[..., ::-1, :]
 
 
-def draw_flips(states) -> np.ndarray:
-    """The flip decisions, the first "flipcrop" draw, for the columns of a
-    "flipcrop" state array."""
-    return next_units(states) < 0.5
+def _child_tag(tag: str, child: str) -> str:
+    """The tag of child stream child ("aug" or "flipcrop") of an origin tagged tag."""
+    return f"{tag}/{child}" if tag else child
+
+
+def flipcrop_draws(seed: int, indices, tag: str, pad: int = 0):
+    """(flips, offsets): the "flipcrop" draws of origins (seed, indices[i],
+    tag), the flip decisions as an (n,) bool array and, when pad > 0, the
+    crop offsets (ox, oy) as two (n,) arrays over [0, 2 * pad], else None."""
+    states = derive_states(seed, indices, _child_tag(tag, "flipcrop"))
+    flips = next_units(states) < 0.5
+    return flips, (next_ints(states, 0, 2 * pad), next_ints(states, 0, 2 * pad)) if pad else None
 
 
 def flip_only(spec: AugmentSpec) -> bool:
@@ -129,11 +140,10 @@ def flip_only(spec: AugmentSpec) -> bool:
     return spec.kind == "none" and spec.pad == 0
 
 
-def run_pipeline(img: np.ndarray, spec: AugmentSpec, rng: RngStream) -> np.ndarray:
-    """Augmentation plus flip/crop of one (h, w, c) image in the configured
-    order: run_pipeline_batch on a batch of one with rng's origin. Only the
-    origin is read; children are derived from it, not from rng's state."""
-    return run_pipeline_batch(img[None], spec, rng.seed, [rng.index], rng.tag)[0]
+def run_pipeline(img: np.ndarray, spec: AugmentSpec, seed: int, index: int, tag: str) -> np.ndarray:
+    """Augmentation plus flip/crop of one (h, w, c) image at origin
+    (seed, index, tag): run_pipeline_batch on a batch of one."""
+    return run_pipeline_batch(img[None], spec, seed, [index], tag)[0]
 
 
 def _augment_batch(images: np.ndarray, spec: AugmentSpec, states) -> np.ndarray:
@@ -202,12 +212,8 @@ def run_pipeline_batch(images, spec: AugmentSpec, seed: int, indices, tag: str) 
     images = np.array(images, dtype=np.float64, order="C")  # the one copy; the kernels write through its flat view
     if len(indices) != len(images):
         raise ValueError(f"{len(indices)} indices for {len(images)} images")
-    aug = derive_states(seed, indices, child_tag_of(tag, "aug"))
-    flipcrop = derive_states(seed, indices, child_tag_of(tag, "flipcrop"))
-    flips = draw_flips(flipcrop)
-    offsets = None
-    if spec.pad:
-        offsets = next_ints(flipcrop, 0, 2 * spec.pad), next_ints(flipcrop, 0, 2 * spec.pad)
+    aug = derive_states(seed, indices, _child_tag(tag, "aug"))
+    flips, offsets = flipcrop_draws(seed, indices, tag, spec.pad)
     if spec.order == "flipcrop_then_augment":
         return _augment_batch(_flip_and_crop_batch(images, flips, spec.pad, offsets), spec, aug)
     return _flip_and_crop_batch(_augment_batch(images, spec, aug), flips, spec.pad, offsets)

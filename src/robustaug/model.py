@@ -19,10 +19,10 @@ from numbers import Integral
 
 import numpy as np
 
-from .augment import AugmentSpec, draw_flips, flip_only, mirror, run_pipeline_batch
+from .augment import AugmentSpec, flip_only, flipcrop_draws, mirror, run_pipeline_batch
 from .images import LabeledDataset
 from .parallel import indexed_map
-from .rng import child_tag_of, derive_states, lockstep_fields, lockstep_groups, next_ints, next_units, permutations
+from .rng import derive_states, lockstep_fields, lockstep_groups, next_ints, next_units, permutations
 
 TOYM_MAGIC = b"TOYM"
 _TOYM_VERSION = 1
@@ -111,14 +111,17 @@ class TrainConfig:
             raise ValueError("learning rate must be finite and >= 0")
         if not isinstance(self.batch_size, Integral) or self.batch_size < 1:
             raise ValueError(f"batch size must be an integer >= 1, got {self.batch_size!r}")
+        if not isinstance(self.seed, Integral):
+            raise ValueError(f"seed must be an integer, got {self.seed!r}")
 
 
 def init_toy_model(seed: int, k: int, c: int, g: int, classes: int) -> ToyModel:
     """Model with k seeded normal filters at scale 1/sqrt(9c) and a zero
     head.  Filters come from the (seed, 0, "filters") stream in row-major
     (k, 3, 3, c) order, so equal seeds give bit-equal models."""
-    if min(k, c, g, classes) < 1:
-        raise ValueError("bad dimensions")
+    for name, value in (("k", k), ("c", c), ("g", g), ("classes", classes)):
+        if not isinstance(value, Integral) or value < 1:
+            raise ValueError(f"bad dimensions: {name} must be an integer >= 1, got {value!r}")
     filters = lockstep_fields(derive_states(seed, [0], "filters"), (k, 3, 3, c))[0] * (1.0 / math.sqrt(9.0 * c))
     return ToyModel(filters=filters, head=np.zeros((k * g * g + 1, classes)), pool_grid=g)
 
@@ -261,9 +264,9 @@ def train(m: ToyModel, d: LabeledDataset, cfg: TrainConfig, workers: int = 1) ->
     Under a flip_only pipeline (kind "none", pad 0) every example is either
     itself or its mirror, so the features of both variants are computed once
     and each group reads its rows from that cache of
-    2 * n * (k * pool_grid**2 + 1) * 8 bytes, by the flip decision, the first
-    draw of each example's "ep<epoch>/flipcrop" stream, in this process. Both
-    give the same rows bit for bit.
+    2 * n * (k * pool_grid**2 + 1) * 8 bytes, by the flip decisions that
+    flipcrop_draws makes for the group's origins, in this process. Both give
+    the same rows bit for bit.
     """
     n = len(d)
     if n == 0:
@@ -286,7 +289,7 @@ def train(m: ToyModel, d: LabeledDataset, cfg: TrainConfig, workers: int = 1) ->
         if cache is None:
             return idx, _features(m, run_pipeline_batch(d.images[idx], cfg.augment, cfg.seed, idx, tag))
         # cache row i + n is example i mirrored
-        return idx, cache[idx + n * draw_flips(derive_states(cfg.seed, idx, child_tag_of(tag, "flipcrop")))]
+        return idx, cache[idx + n * flipcrop_draws(cfg.seed, idx, tag)[0]]
 
     for idx, feats in indexed_map(features, len(groups), workers):
         for b in (slice(start, start + cfg.batch_size) for start in range(0, len(idx), cfg.batch_size)):

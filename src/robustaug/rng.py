@@ -39,13 +39,15 @@ the columns as the one-stream calls would. Counter-derived streams
 (Salmon et al., SC'11) make the grouping free: which columns step together,
 and where a slab ends, never changes a bit.
 
-RngStream is one such column with its origin record and the pending normal
-an odd-sized normal draw leaves; each method runs the state-array draw on a
-(4, 1) view of its state. The package draws only through state arrays;
-perfbench's tracer wraps the methods by name.
+RngStream, from derive_stream, is one such column and the pending normal an
+odd-sized normal draw leaves; each method runs the state-array draw on a
+(4, 1) view of its state. It keeps no record of its origin and derives no
+children: the package draws only through state arrays, and the class stays
+because perfbench's tracer wraps its methods by name.
 """
 
 import math
+from numbers import Integral
 
 import numpy as np
 
@@ -160,26 +162,16 @@ def _box_muller(u1, u2, *trigs) -> list:
 
 
 class RngStream:
-    """A single xoshiro256** stream plus the record of how it was derived.
-
-    Do not construct directly; use derive_stream so the origin record
-    (seed, index, tag) stays truthful. The record is what allows an op to
-    spawn children via derive() without coordinating with other ops. Every
-    draw is the state-array draw on a one-column view of the state.
+    """A single xoshiro256** stream: one state column and the pending
+    normal an odd-sized normal draw leaves. Every draw is the state-array
+    draw on a one-column view of the state. Build it with derive_stream.
     """
 
-    __slots__ = ("seed", "index", "tag", "_state", "_pending_normal")
+    __slots__ = ("_state", "_pending_normal")
 
-    def __init__(self, words, seed: int, index: int, tag: str):
+    def __init__(self, words):
         self._state = np.array(words, dtype=np.uint64)
-        self.seed = seed
-        self.index = index
-        self.tag = tag
         self._pending_normal = None
-
-    def derive(self, child_tag: str) -> "RngStream":
-        """Child stream for a sub-operation; tags chain with '/'."""
-        return derive_stream(self.seed, self.index, child_tag_of(self.tag, child_tag))
 
     def next_u64(self) -> int:
         return int(_lockstep_u64(self._state[:, None], 1)[0, 0])
@@ -218,19 +210,10 @@ class RngStream:
         return self.normal_array(math.prod(int(dim) for dim in shape)).reshape(shape)
 
 
-def child_tag_of(tag: str, child: str) -> str:
-    """The tag of RngStream.derive(child) on a stream tagged tag."""
-    return f"{tag}/{child}" if tag else child
-
-
 def derive_stream(seed: int, index: int, tag: str) -> RngStream:
-    """Derive an independent stream from (global seed, image index, op tag).
-
-    seed and index are taken modulo 2**64; tag is any short string. Streams
-    with different origins are statistically independent, and the same
-    origin always yields the same byte stream.
-    """
-    return RngStream(derive_states(seed, [index], tag)[:, 0], seed, index, tag)
+    """The stream of origin (seed, index, tag): column 0 of
+    derive_states(seed, [index], tag)."""
+    return RngStream(derive_states(seed, [index], tag)[:, 0])
 
 
 def _mix64_array(x: np.ndarray) -> np.ndarray:
@@ -246,22 +229,27 @@ def _mix64_array(x: np.ndarray) -> np.ndarray:
 
 
 def _as_u64(indices) -> np.ndarray:
-    """Indices modulo 2**64 as a uint64 array. Integer arrays wrap exactly;
-    numpy gives Python integers beyond one integer dtype a float or object
-    array, so those are reduced one by one."""
+    """Integer indices modulo 2**64 as a uint64 array. Integer arrays wrap
+    exactly; numpy gives Python integers beyond one integer dtype a float or
+    object array, so the items themselves are checked and reduced one by one."""
     x = np.asarray(indices)
-    if x.dtype.kind not in "iu":
-        x = np.array([int(i) & _M64 for i in indices], dtype=np.uint64)
-    return x.astype(np.uint64)
+    if x.dtype.kind in "biu":
+        return x.astype(np.uint64)
+    if not all(isinstance(i, Integral) for i in indices):
+        raise ValueError(f"stream indices must be integers, got {x.dtype} values")
+    return np.array([int(i) & _M64 for i in indices], dtype=np.uint64)
 
 
 def derive_states(seed: int, indices, tag: str) -> np.ndarray:
     """The xoshiro states of many origins sharing seed and tag: a
     C-contiguous (4, len(indices)) uint64 array whose column j is the state
     of origin (seed, indices[j], tag), seeded as the module docstring
-    documents."""
+    documents. seed and indices are integers (numpy's too) taken modulo
+    2**64; any other value raises ValueError."""
+    if not isinstance(seed, Integral):
+        raise ValueError(f"stream seed must be an integer, got {seed!r}")
     base = _mix64_array(_as_u64(indices))
-    base ^= np.uint64((seed & _M64) ^ _fnv1a64(tag))
+    base ^= np.uint64((int(seed) & _M64) ^ _fnv1a64(tag))
     # SplitMix64 word k is the mix of base + k * golden, k = 1..4.
     states = _mix64_array(np.add(base, _SPLITMIX_STEPS))
     zero = (states[0] | states[1] | states[2] | states[3]) == 0

@@ -2,10 +2,13 @@
 
 Each sampler draws from one stream with the scalar calls (next_int,
 next_unit, normal_field) in the order robustaug.augment documents, and
-applies its op to one (h, w, c) image with slices, so it shares no code
-with the batch kernels and lockstep draws of the package. Tests compare
-run_pipeline_batch against run_pipeline here, and script the draws of these
-samplers with stand-in streams to pin the documented order.
+applies its op to one (h, w, c) image with slices. run_pipeline here takes
+an origin (seed, index, tag) and draws its "aug" and "flipcrop" children
+from rng_reference.Reference, the pure-Python transcription of the stream,
+so it shares no code with the batch kernels and lockstep draws of the
+package. Tests compare run_pipeline_batch against run_pipeline here, and
+script the draws of these samplers with stand-in streams to pin the
+documented order.
 
 This module imports nothing from robustaug.
 """
@@ -13,6 +16,8 @@ This module imports nothing from robustaug.
 from dataclasses import dataclass
 
 import numpy as np
+
+from rng_reference import Reference
 
 
 @dataclass(frozen=True)
@@ -107,11 +112,16 @@ def apply_augment(img, spec, rng):
     return apply_patch_gaussian(img, spec, rng)
 
 
-def run_pipeline(img, spec, rng):
-    """Augmentation and flip/crop in spec.order, each from its own child of
-    rng ("aug" and "flipcrop")."""
+def child(seed, index, tag, name):
+    """The stream of child name ("aug" or "flipcrop") of origin (seed, index,
+    tag): its tag is tag + "/" + name, or name alone when tag is empty."""
+    return Reference(seed, index, f"{tag}/{name}" if tag else name)
+
+
+def run_pipeline(img, spec, seed, index, tag):
+    """Augmentation and flip/crop of img in spec.order, each drawing from its
+    own child of origin (seed, index, tag)."""
+    aug, flipcrop = child(seed, index, tag, "aug"), child(seed, index, tag, "flipcrop")
     if spec.order == "augment_then_flipcrop":
-        out = apply_augment(img, spec, rng.derive("aug"))
-        return flip_and_crop(out, spec.pad, rng.derive("flipcrop"))
-    out = flip_and_crop(img, spec.pad, rng.derive("flipcrop"))
-    return apply_augment(out, spec, rng.derive("aug"))
+        return flip_and_crop(apply_augment(img, spec, aug), spec.pad, flipcrop)
+    return apply_augment(flip_and_crop(img, spec.pad, flipcrop), spec, aug)

@@ -2,7 +2,8 @@
 
 This module deliberately avoids importing robustaug. It exists to generate
 the frozen golden values in fixtures/rng_golden.txt and to give the tests a
-second implementation to compare against. Run as a script to regenerate the
+second implementation to compare against: every expected draw outside
+test_rng.py comes from a Reference stream. Run as a script to regenerate the
 fixture:
 
     python tests/rng_reference.py > tests/fixtures/rng_golden.txt
@@ -82,6 +83,14 @@ class Reference:
         theta = 2.0 * np.pi * u2
         self.pending = float(r * np.sin(theta))
         return float(r * np.cos(theta))
+
+    # The draw names of the documented samplers (tests/augment_reference.py).
+    next_unit = unit
+    next_int = integer
+
+    def normal_field(self, shape):
+        """normal() values filled in row-major order."""
+        return np.array([self.normal() for _ in range(int(np.prod(shape)))]).reshape(shape)
 
 
 # Fixture layout: comment lines start with '#', data lines hold one value.

@@ -14,7 +14,7 @@ import pytest
 
 from robustaug.augment import (
     AugmentSpec,
-    draw_flips,
+    flipcrop_draws,
     gaussian_batch,
     mirror,
     rect_masks,
@@ -48,8 +48,10 @@ from robustaug.model import (
     synth_dataset,
     train,
 )
-from robustaug.rng import derive_states, derive_stream, lockstep_fields, next_ints, next_units
+from robustaug.rng import derive_states, lockstep_fields, next_ints, next_units
 from robustaug.cli import main as cli_main
+
+from rng_reference import Reference
 
 
 def _report(num, name, ok, detail=""):
@@ -75,7 +77,7 @@ def test_whole_image_limit_matches_gaussian():
     next_ints(states, 0, 31)
     next_ints(states, 0, 31)
     whole = gaussian_batch(images, 2.0 * next_units(states), lockstep_fields(states, (32, 32, 3)))
-    flips = draw_flips(derive_states(101, range(100), "limit/flipcrop"))
+    flips, _ = flipcrop_draws(101, range(100), "limit")
     whole[flips] = mirror(whole[flips])
     elapsed = time.perf_counter() - t0
     ok = patched.tobytes() == whole.tobytes() and elapsed < 1.0
@@ -127,7 +129,7 @@ def test_noise_and_cutout_stay_inside_patch():
             spec = AugmentSpec(kind="cutout", patch_size=size, fill=(0.5,))
         out = run_pipeline_batch(images, spec, 777, indices, "locality")
         # pad 0: undo the flip, then replay the rect from the "aug" draws.
-        flips = draw_flips(derive_states(777, indices, "locality/flipcrop"))
+        flips, _ = flipcrop_draws(777, indices, "locality")
         out = np.where(flips[:, None, None, None], mirror(out), out)
         replay = derive_states(777, indices, "locality/aug")
         drawn = next_ints(replay, 1, size) if spec.sample_up_to else size
@@ -225,7 +227,7 @@ def test_spectral_toolkit_guarantees():
     moved = perturb_with_basis(mid[None], basis, 4.0, derive_states(1, [0], "accept"))[0]
     # The sign is the documented draw: negative when the first unit of the
     # image's stream is below 0.5.
-    sign = -1.0 if derive_stream(1, 0, "accept").next_unit() < 0.5 else 1.0
+    sign = -1.0 if Reference(1, 0, "accept").unit() < 0.5 else 1.0
     for ch in range(3):
         norm_ok = norm_ok and abs(np.linalg.norm(moved[:, :, ch] - 0.5) - 4.0) < 1e-9
         norm_ok = norm_ok and float(np.max(np.abs(moved[:, :, ch] - 0.5 - sign * 4.0 * basis))) < 1e-9

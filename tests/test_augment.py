@@ -1,5 +1,7 @@
 """Augmentation kernels, draw orders, and the pipeline contract."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -9,8 +11,8 @@ from robustaug.augment import (
     AugmentSpec,
     _flip_and_crop_batch,
     cutout_batch,
-    draw_flips,
     flip_only,
+    flipcrop_draws,
     gaussian_batch,
     mirror,
     rect_masks,
@@ -18,10 +20,10 @@ from robustaug.augment import (
     run_pipeline_batch,
 )
 from robustaug.parallel import indexed_map
-from robustaug.rng import derive_states, derive_stream, lockstep_fields, next_ints
+from robustaug.rng import derive_states, lockstep_fields, next_ints
 
 import augment_reference as reference
-import rng_reference
+from rng_reference import Reference
 
 
 class ScriptedStream:
@@ -60,10 +62,9 @@ def box(h, w, x0, y0, x1, y1):
 
 
 def find_seed(tag, want_flip, start=0):
-    """Smallest seed whose derived child stream makes the flip decision."""
+    """Smallest seed whose stream (seed, 0, tag) makes the flip decision."""
     for seed in range(start, start + 10_000):
-        u = derive_stream(seed, 0, tag).next_unit()
-        if (u < 0.5) == want_flip:
+        if (Reference(seed, 0, tag).unit() < 0.5) == want_flip:
             return seed
     raise AssertionError("no seed found")
 
@@ -71,7 +72,7 @@ def find_seed(tag, want_flip, start=0):
 def unflip(out, seed, indices, tag):
     """Undo the flips run_pipeline_batch made at pad 0: mirror back the
     images whose "flipcrop" child drew a flip."""
-    flips = draw_flips(derive_states(seed, indices, tag + "/flipcrop"))
+    flips = np.array([Reference(seed, i, tag + "/flipcrop").unit() < 0.5 for i in indices])
     return np.where(flips[:, None, None, None], mirror(out), out)
 
 
@@ -178,7 +179,7 @@ def test_gaussian_kernel_shape_mismatch():
 
 def test_apply_gaussian_sigma_max_zero_identity():
     img = gray(5, 5, 3, 0.7)
-    out = run_pipeline(img, AugmentSpec(kind="gaussian", sigma_max=0.0), derive_stream(1, 2, "g"))
+    out = run_pipeline(img, AugmentSpec(kind="gaussian", sigma_max=0.0), 1, 2, "g")
     assert np.array_equal(out, img)
 
 
@@ -186,13 +187,11 @@ def test_apply_gaussian_golden_compose():
     # A 1x1 image: the flip is the identity, and the "aug" child draws
     # sigma's unit, then the pixel's normal.
     seed, index, tag = 42, 0, "golden"
-    ref = rng_reference.Reference(seed, index, tag + "/aug")
+    ref = Reference(seed, index, tag + "/aug")
     u = ref.unit()
     z = ref.normal()
     expected = min(max(0.5 + 1.0 * u * z, 0.0), 1.0)
-    out = run_pipeline(
-        gray(1, 1), AugmentSpec(kind="gaussian", sigma_max=1.0), derive_stream(seed, index, tag)
-    )
+    out = run_pipeline(gray(1, 1), AugmentSpec(kind="gaussian", sigma_max=1.0), seed, index, tag)
     assert out[0, 0, 0] == expected
 
 
@@ -209,14 +208,14 @@ def test_apply_gaussian_rarely_clips_at_small_sigma():
 def test_cutout_oversized_patch_fills_everything():
     img = np.random.default_rng(5).random((8, 6, 3))
     spec = AugmentSpec(kind="cutout", patch_size=16, fill=(0.1, 0.2, 0.3))
-    out = run_pipeline(img, spec, derive_stream(0, 0, "c"))
+    out = run_pipeline(img, spec, 0, 0, "c")
     assert np.all(out == np.array([0.1, 0.2, 0.3]))
 
 
 def test_cutout_own_color_is_identity():
     img = gray(7, 7, 3, 0.25)
     spec = AugmentSpec(kind="cutout", patch_size=3, fill=(0.25, 0.25, 0.25))
-    out = run_pipeline(img, spec, derive_stream(1, 1, "c"))
+    out = run_pipeline(img, spec, 1, 1, "c")
     assert np.array_equal(out, img)
 
 
@@ -230,7 +229,7 @@ def test_cutout_hand_rect():
 
 def test_cutout_requires_fill():
     with pytest.raises(ValueError, match="fill"):
-        run_pipeline(gray(4, 4), AugmentSpec(kind="cutout", patch_size=2), derive_stream(0, 0, "c"))
+        run_pipeline(gray(4, 4), AugmentSpec(kind="cutout", patch_size=2), 0, 0, "c")
     spec = AugmentSpec(kind="cutout", patch_size=2, fill=(0.1, 0.2, 0.3))
     with pytest.raises(ValueError, match="got 3 for 1"):
         run_pipeline_batch(np.zeros((2, 4, 4, 1)), spec, 0, [0, 1], "c")
@@ -243,7 +242,7 @@ def test_patch_gaussian_sigma_zero_identity():
     seed = find_seed("flipcrop", want_flip=False)
     img = np.random.default_rng(6).random((9, 9, 3))
     spec = AugmentSpec(kind="patch_gaussian", sigma_max=0.0, patch_size=4)
-    out = run_pipeline(img, spec, derive_stream(seed, 0, ""))
+    out = run_pipeline(img, spec, seed, 0, "")
     assert np.array_equal(out, img)
 
 
@@ -253,11 +252,11 @@ def test_patch_gaussian_limit_equals_whole_image_gaussian():
     spec = AugmentSpec(kind="patch_gaussian", sigma_max=0.8, patch_size=32)
     out = unflip(run_pipeline_batch(images, spec, 11, range(5), "limit"), 11, range(5), "limit")
     for i in range(5):
-        # Replay the documented draw order with a scalar twin stream.
-        twin = derive_stream(11, i, "limit/aug")
-        twin.next_int(0, 15)
-        twin.next_int(0, 15)
-        sigma = 0.8 * twin.next_unit()
+        # Replay the documented draw order with a reference twin stream.
+        twin = Reference(11, i, "limit/aug")
+        twin.integer(0, 15)
+        twin.integer(0, 15)
+        sigma = 0.8 * twin.unit()
         field = twin.normal_field(images[i].shape)
         assert np.array_equal(out[i], gaussian_batch(images[i][None], [sigma], field[None])[0])
 
@@ -293,7 +292,7 @@ def test_patch_gaussian_locality_replay():
     spec = AugmentSpec(kind="patch_gaussian", sigma_max=0.9, patch_size=3)
     out = unflip(run_pipeline_batch(images, spec, 21, range(50), "loc"), 21, range(50), "loc")
     for i in range(50):
-        ref = rng_reference.Reference(21, i, "loc/aug")
+        ref = Reference(21, i, "loc/aug")
         cx = ref.integer(0, 7)
         cy = ref.integer(0, 7)
         x0, x1 = max(0, cx - 1), min(8, cx + 2)
@@ -309,7 +308,7 @@ def test_cutout_locality_replay():
     spec = AugmentSpec(kind="cutout", patch_size=4, fill=(0.33,))
     out = unflip(run_pipeline_batch(images, spec, 22, range(50), "loc"), 22, range(50), "loc")
     for i in range(50):
-        ref = rng_reference.Reference(22, i, "loc/aug")
+        ref = Reference(22, i, "loc/aug")
         cx = ref.integer(0, 7)
         cy = ref.integer(0, 7)
         x0, x1 = max(0, cx - 2), min(8, cx + 2)
@@ -363,21 +362,21 @@ def test_flip_and_crop_offset_draw_order():
 def test_pipeline_none_pad_zero_identity():
     seed = find_seed("flipcrop", want_flip=False)
     img = np.random.default_rng(11).random((6, 6, 3))
-    out = run_pipeline(img, AugmentSpec(kind="none", pad=0), derive_stream(seed, 0, ""))
+    out = run_pipeline(img, AugmentSpec(kind="none", pad=0), seed, 0, "")
     assert np.array_equal(out, img)
 
 
 @pytest.mark.parametrize("order", ORDERS)
-def test_draw_flips_agrees_with_run_pipeline(order):
+def test_flipcrop_draws_agree_with_run_pipeline(order):
     """Under a flip_only spec run_pipeline mirrors exactly the images whose
-    "flipcrop" child draws a first unit below 0.5, the rule by which train
-    reads its feature cache."""
+    flipcrop_draws flip, the rule by which train reads its feature cache."""
     img = np.random.default_rng(13).random((5, 4, 3))
     spec = AugmentSpec(order=order)
     assert flip_only(spec)
-    flips = draw_flips(derive_states(21, range(200), "flips/flipcrop"))
+    flips, offsets = flipcrop_draws(21, range(200), "flips")
+    assert offsets is None
     for i in range(200):
-        out = run_pipeline(img, spec, derive_stream(21, i, "flips"))
+        out = run_pipeline(img, spec, 21, i, "flips")
         assert np.array_equal(out, mirror(img) if flips[i] else img)
     assert 60 < flips.sum() < 140
 
@@ -392,27 +391,17 @@ def test_pipeline_matches_bare_augmentation_when_flip_off():
     seed = find_seed("flipcrop", want_flip=False)
     img = np.random.default_rng(12).random((6, 6, 3))
     spec = AugmentSpec(kind="gaussian", sigma_max=0.5, pad=0)
-    out = run_pipeline(img, spec, derive_stream(seed, 0, ""))
-    bare = reference.apply_gaussian(img, spec, derive_stream(seed, 0, "aug"))
+    out = run_pipeline(img, spec, seed, 0, "")
+    bare = reference.apply_gaussian(img, spec, Reference(seed, 0, "aug"))
     assert np.array_equal(out, bare)
 
 
 def test_pipeline_orders_differ():
     seed = find_seed("flipcrop", want_flip=True)
     img = np.random.default_rng(13).random((8, 8, 3))
-    a = run_pipeline(
-        img,
-        AugmentSpec(kind="patch_gaussian", sigma_max=1.0, patch_size=4, pad=0),
-        derive_stream(seed, 0, ""),
-    )
-    b = run_pipeline(
-        img,
-        AugmentSpec(
-            kind="patch_gaussian", sigma_max=1.0, patch_size=4, pad=0,
-            order="flipcrop_then_augment",
-        ),
-        derive_stream(seed, 0, ""),
-    )
+    spec = AugmentSpec(kind="patch_gaussian", sigma_max=1.0, patch_size=4, pad=0)
+    a = run_pipeline(img, spec, seed, 0, "")
+    b = run_pipeline(img, replace(spec, order="flipcrop_then_augment"), seed, 0, "")
     assert not np.array_equal(a, b)
 
 
@@ -425,7 +414,7 @@ def test_pipeline_range_invariant():
     ]
     for spec in specs:
         for i in range(10):
-            out = run_pipeline(img, spec, derive_stream(77, i, "range"))
+            out = run_pipeline(img, spec, 77, i, "range")
             assert out.min() >= 0.0 and out.max() <= 1.0
 
 
@@ -435,7 +424,7 @@ def test_pipeline_parallel_map_equals_sequential():
     spec = AugmentSpec(kind="patch_gaussian", sigma_max=1.0, patch_size=4, pad=1)
 
     def work(i):
-        return run_pipeline(images[i], spec, derive_stream(5, i, "par"))
+        return run_pipeline(images[i], spec, 5, i, "par")
 
     seq = list(indexed_map(work, len(images), workers=1))
     par = list(indexed_map(work, len(images), workers=4))
@@ -458,7 +447,7 @@ def test_pipeline_batch_matches_per_image_pipeline(kind, order, pad, channels):
         images = rng.random((size, 9, 7, channels))
         indices = np.arange(size) * 7 - 3
         batch = run_pipeline_batch(images, spec, 21, indices, "batch")
-        single = np.stack([reference.run_pipeline(img, spec, derive_stream(21, int(i), "batch"))
+        single = np.stack([reference.run_pipeline(img, spec, 21, int(i), "batch")
                            for img, i in zip(images, indices)])
         assert batch.shape == single.shape
         assert np.array_equal(batch.view(np.uint64), single.view(np.uint64))
@@ -496,7 +485,7 @@ def test_spec_validation():
 
 def test_apply_augment_none_copies():
     img = gray(3, 3)
-    out = run_pipeline(img, AugmentSpec(kind="none"), derive_stream(0, 0, "n"))
+    out = run_pipeline(img, AugmentSpec(kind="none"), 0, 0, "n")
     assert np.array_equal(out, img)
     assert not np.shares_memory(out, img)
 

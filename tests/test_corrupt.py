@@ -18,7 +18,8 @@ from robustaug.corrupt import (
     validate_severity_table,
 )
 from robustaug.images import LabeledDataset
-from robustaug.rng import derive_stream
+
+from rng_reference import Reference
 
 
 # DEFAULT_SEVERITY as a severity table file
@@ -73,14 +74,14 @@ def corrupt_one(img, kind, param, seed=None, index=0, tag=""):
 
 
 def scalar_noise(img, kind, param, rng):
-    """Reference noise kinds on one image, drawing from one RngStream in the
-    order the corrupt module documents."""
+    """Reference noise kinds on one image, drawing from one reference stream
+    in the order the corrupt module documents."""
     if kind == "gaussian_noise":
         return np.clip(img + param * rng.normal_field(img.shape), 0.0, 1.0)
     if kind == "shot_noise":
-        u = rng.unit_array(img.size).reshape(img.shape)
+        u = np.array([rng.unit() for _ in range(img.size)]).reshape(img.shape)
         return np.clip(np.maximum(stats.poisson.ppf(u, img * param), 0.0) / param, 0.0, 1.0)
-    u = rng.unit_array(img.shape[0] * img.shape[1]).reshape(img.shape[:2])
+    u = np.array([rng.unit() for _ in range(img.shape[0] * img.shape[1])]).reshape(img.shape[:2])
     out = img.copy()
     out[u < param / 2] = 0.0
     out[(u >= param / 2) & (u < param)] = 1.0
@@ -171,7 +172,7 @@ def test_gaussian_noise_shares_augment_kernel():
     img = random_image(8)
     sigma = 0.37
     out = corrupt_one(img, "gaussian_noise", sigma, 5, 4, "gn")
-    field = derive_stream(5, 4, "gn").normal_field(img.shape)
+    field = Reference(5, 4, "gn").normal_field(img.shape)
     assert np.array_equal(out, gaussian_batch(img[None], [sigma], field[None])[0])
 
 
@@ -184,7 +185,7 @@ def test_batch_matches_batches_of_one(kind, n):
     got = corrupt(images, kind, param, 9, "batch")
     for j in range(n):
         if kind in NOISE_KINDS:
-            want = scalar_noise(images[j], kind, param, derive_stream(9, j, "batch"))
+            want = scalar_noise(images[j], kind, param, Reference(9, j, "batch"))
             assert np.array_equal(got[j], want)
         # Image j alone at its origin; a noise kind needs a batch of j + 1 for that, so only the first few.
         if j < 8 or kind not in NOISE_KINDS:

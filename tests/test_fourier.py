@@ -23,7 +23,9 @@ from robustaug.fourier import (
 )
 from robustaug.images import LabeledDataset
 from robustaug.model import init_toy_model
-from robustaug.rng import derive_states, derive_stream, next_units
+from robustaug.rng import derive_states, next_units
+
+from rng_reference import Reference
 
 
 # Oracle transforms: O(N^2) direct summation with cmath, centered layout,
@@ -227,7 +229,7 @@ def test_perturb_real_stream_sign_rule():
     out = perturb_with_basis(images, u, 0.8, derive_states(42, range(16), "fourier/0,0"))
     signs = set()
     for i in range(16):
-        first = derive_stream(42, i, "fourier/0,0").next_unit()
+        first = Reference(42, i, "fourier/0,0").unit()
         sign = -1.0 if first < 0.5 else 1.0
         signs.add(sign)
         assert np.max(np.abs(out[i] - (0.5 + (0.8 / 8) * sign))) < 1e-12

@@ -39,7 +39,6 @@ from robustaug.fourier import format_heatmap_csv, half_plane_frequencies, sensit
 from robustaug.images import LabeledDataset, channel_mean
 from robustaug.model import TrainConfig, encode_model, first_layer, init_toy_model, predict, synth_dataset, train
 from robustaug.parallel import openblas_functions
-from robustaug.rng import derive_stream
 
 
 def blas_environment() -> str:
@@ -140,7 +139,7 @@ def pipeline_digest(order: str, pad: int) -> str:
             spec = AugmentSpec(kind=kind, sigma_max=1.2, patch_size=5, sample_up_to=kind == "patch_gaussian",
                                fill=fill, order=order, pad=pad)
             outputs.append(np.stack([
-                run_pipeline(img, spec, derive_stream(8, i, f"golden/{kind}")) for i, img in enumerate(images)
+                run_pipeline(img, spec, 8, i, f"golden/{kind}") for i, img in enumerate(images)
             ]))
     return _sha(*outputs)
 

@@ -1,5 +1,7 @@
 """Toy classifier: conv oracle, gradient check, training, synth data."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -68,6 +70,16 @@ def test_init_filter_variance():
 def test_init_validation():
     with pytest.raises(ValueError, match="bad dimensions"):
         init_toy_model(0, k=0, c=1, g=2, classes=2)
+    dims = {"k": 2, "c": 1, "g": 2, "classes": 2}
+    for field in dims:
+        for bad in (2.5, 3.0, "2"):
+            with pytest.raises(ValueError, match=f"{field} must be an integer"):
+                init_toy_model(0, **dict(dims, **{field: bad}))
+    with pytest.raises(ValueError, match="seed must be an integer"):
+        init_toy_model(1.5, **dims)
+    m = init_toy_model(np.int64(0), k=np.int64(2), c=np.int32(1), g=np.uint8(2), classes=np.int16(2))
+    assert m.filters.shape == (2, 3, 3, 1) and m.classes == 2
+    assert m.filters.tobytes() == init_toy_model(0, **dims).filters.tobytes()
     for k, c, g in ((0, 1, 2), (1, 0, 2), (1, 1, 0)):  # each head is shaped to match
         with pytest.raises(ValueError, match="bad dimensions"):
             ToyModel(np.zeros((k, 3, 3, c)), np.zeros((k * g * g + 1, 2)), g)
@@ -341,12 +353,14 @@ def test_train_validation():
         TrainConfig(learning_rate=-0.1)
     with pytest.raises(ValueError, match="batch size"):
         TrainConfig(batch_size=0)
-    for field, name in (("epochs", "epochs"), ("batch_size", "batch size")):
+    for field, name in (("epochs", "epochs"), ("batch_size", "batch size"), ("seed", "seed")):
         for bad in (2.5, 3.0, "2"):
             with pytest.raises(ValueError, match=name):
                 TrainConfig(**{field: bad})
-    cfg = TrainConfig(epochs=np.int64(2), batch_size=np.int32(3))
-    assert (cfg.epochs, cfg.batch_size) == (2, 3)
+    cfg = TrainConfig(epochs=np.int64(2), batch_size=np.int32(3), seed=np.uint64(2**64 - 1))
+    assert (cfg.epochs, cfg.batch_size, cfg.seed) == (2, 3, 2**64 - 1)
+    data = LabeledDataset(np.random.default_rng(1).random((4, 8, 8, 1)), np.array([0, 1, 0, 1]))
+    assert train(m, data, cfg).head.tobytes() == train(m, data, replace(cfg, seed=-1)).head.tobytes()
 
 
 def test_predict_thread_safe_reads():

@@ -1,12 +1,14 @@
 """Stream derivation and draw disciplines against frozen goldens."""
 
 import os
+import re
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from robustaug import rng
-from robustaug.augment import rect_masks
+from robustaug.augment import AugmentSpec, flipcrop_draws, rect_masks, run_pipeline
 from robustaug.rng import (
     LOCKSTEP_STREAMS,
     derive_states,
@@ -60,21 +62,36 @@ def test_fixture_matches_reference_implementation():
 
 
 def test_golden_values():
+    """The fixture read through a single stream's scalar calls, and through
+    the state-array draws the package makes: _lockstep_u64, next_units and
+    lockstep_fields on the origin's one column."""
     sections = load_golden()
     assert len(sections) == len(rng_reference.CASES)
     for (header, lines), (kind, seed, index, tag, count) in zip(
         sections, rng_reference.CASES
     ):
         assert f"seed={seed}" in header and kind in header
-        stream = derive_stream(seed, index, tag)
-        for expected in lines:
-            if kind == "u64":
-                assert stream.next_u64() == int(expected)
-            elif kind == "unit":
-                assert stream.next_unit() == float(expected)
-            else:
-                assert stream.next_normal() == float(expected)
         assert len(lines) == count
+        stream = derive_stream(seed, index, tag)
+        states = derive_states(seed, [index], tag)
+        if kind == "u64":
+            assert [stream.next_u64() for _ in lines] == [int(x) for x in lines]
+            assert rng._lockstep_u64(states, count)[:, 0].tolist() == [int(x) for x in lines]
+        elif kind == "unit":
+            assert [stream.next_unit() for _ in lines] == [float(x) for x in lines]
+            assert next_units(states, (count,))[0].tolist() == [float(x) for x in lines]
+        else:
+            assert [stream.next_normal() for _ in lines] == [float(x) for x in lines]
+            assert lockstep_fields(states, (count,))[0].tolist() == [float(x) for x in lines]
+
+
+def test_only_rng_names_the_single_stream():
+    """RngStream and derive_stream stay only for perfbench's tracer: no other
+    package module names them, so the package draws through state arrays."""
+    package = Path(rng.__file__).parent
+    users = [path.name for path in sorted(package.glob("*.py"))
+             if path.name != "rng.py" and re.search(r"\b(RngStream|derive_stream)\b", path.read_text())]
+    assert users == []
 
 
 def test_same_origin_same_stream():
@@ -89,12 +106,19 @@ def test_distinct_origins_distinct_streams():
         assert base._state.tolist() != other._state.tolist()
 
 
-def test_derive_chains_tags():
-    parent = derive_stream(3, 4, "pipeline")
-    child = parent.derive("aug")
-    assert child.tag == "pipeline/aug"
-    twin = derive_stream(3, 4, "pipeline/aug")
-    assert child.next_u64() == twin.next_u64()
+@pytest.mark.parametrize("tag, prefix", [("pipeline", "pipeline/"), ("", "")], ids=["tagged", "untagged"])
+def test_pipeline_children_chain_tags(tag, prefix):
+    """The "aug" and "flipcrop" children of origin (3, 4, tag) draw the runs
+    of the streams tagged tag + "/aug" and tag + "/flipcrop"; an empty tag
+    gives the child tag alone."""
+    flipcrop = rng_reference.Reference(3, 4, prefix + "flipcrop")
+    flips, (ox, oy) = flipcrop_draws(3, [4], tag, pad=5)
+    assert [flips[0], ox[0], oy[0]] == [flipcrop.unit() < 0.5, flipcrop.integer(0, 10), flipcrop.integer(0, 10)]
+    # A 1x1 image, whose flip is the identity: "aug" draws sigma's unit, then 7 normals.
+    aug = rng_reference.Reference(3, 4, prefix + "aug")
+    out = run_pipeline(np.full((1, 1, 7), 0.5), AugmentSpec(kind="gaussian", sigma_max=1e-3), 3, 4, tag)
+    sigma = 1e-3 * aug.unit()
+    assert out.reshape(-1).tolist() == [sigma * aug.normal() + 0.5 for _ in range(7)]
 
 
 def test_unit_range_and_mean():
@@ -311,6 +335,18 @@ def test_derive_states_match_derive_stream(seed, tag):
     assert np.array_equal(derive_states(seed, np.arange(-3, 4), tag), derive_states(seed, list(range(-3, 4)), tag))
     assert derive_states(seed, range(5), tag)[:, 2].tolist() == rng_reference.seed_state(seed, 2, tag)
     assert derive_states(seed, [], tag).shape == (4, 0)
+
+
+def test_derive_states_refuses_non_integer_seeds_and_indices():
+    for indices in ([0.5], np.array([1.9]), [1, 2.0], ["3"], [np.float64(2.0)], [2**64 - 1, 0.5]):
+        with pytest.raises(ValueError, match="indices must be integers"):
+            derive_states(0, indices, "t")
+    for seed in (1.5, 2.0, "4", None, np.float64(3.0)):
+        with pytest.raises(ValueError, match="seed must be an integer"):
+            derive_states(seed, [0], "t")
+    # numpy integers pass, and Python integers numpy turns into float64 stay exact.
+    states = derive_states(np.int64(-1), [2**64 - 1, -1, np.uint64(5)], "t")
+    assert states.T.tolist() == [rng_reference.seed_state(-1, i, "t") for i in (-1, -1, 5)]
 
 
 def test_derive_states_share_the_all_zero_guard(monkeypatch):

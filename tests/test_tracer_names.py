@@ -22,8 +22,8 @@ import tracer
 t = tracer.Tracer()
 tracer.install(t)
 spec = robustaug.augment.AugmentSpec(kind="gaussian", sigma_max=1.0)
+robustaug.augment.run_pipeline(np.zeros((4, 4, 1)), spec, 0, 0, "guard")
 stream = robustaug.rng.derive_stream(0, 0, "guard")
-robustaug.augment.run_pipeline(np.zeros((4, 4, 1)), spec, stream)
 stream.next_int(0, 9)
 stream.normal_field((2, 2))
 robustaug.parallel.indexed_map(lambda i: i, 2)
