@@ -125,10 +125,10 @@ def load_dataset(path) -> LabeledDataset:
                                  f"{_image_name(0)}")
             images[i] = image
         return LabeledDataset(images, labels)
-    d = read_cifar10_batch(p.read_bytes())
-    if len(d) == 0:
-        raise ValueError(f"{p}: empty dataset")
-    return d
+    try:
+        return read_cifar10_batch(p.read_bytes())
+    except ValueError as e:
+        raise ValueError(f"{p}: {e}") from None
 
 
 def write_dataset(d: LabeledDataset, out_dir) -> None:

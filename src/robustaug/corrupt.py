@@ -37,12 +37,10 @@ SIGMA_SUITE = (0.1, 0.2, 0.3, 0.5, 0.8, 1.0)
 
 def validate_severity_table(table: dict) -> None:
     for kind, params in table.items():
-        if kind not in CORRUPTION_KINDS:
-            raise ValueError(f"unknown corruption kind: {kind!r}")
         if len(params) != 5:
             raise ValueError(f"{kind}: need exactly 5 severity parameters, got {len(params)}")
         for param in params:
-            _check_domain(kind, param)  # rejects nan and inf as well
+            _check_domain(kind, param)  # rejects an unknown kind, nan and inf as well
         for a, b in zip(params, params[1:]):
             if _KINDS[kind].direction * (b - a) <= 0:
                 raise ValueError(f"{kind}: severity parameters are not strictly monotone")
@@ -75,6 +73,8 @@ def parse_severity_table(text: str) -> dict:
 
 
 def _check_domain(kind: str, param: float) -> None:
+    if kind not in _KINDS:
+        raise ValueError(f"unknown corruption kind: {kind!r}")
     if not (math.isfinite(param) and _KINDS[kind].domain(param)):
         raise ValueError(f"parameter out of domain for {kind}: {param!r}")
 
@@ -164,8 +164,6 @@ def corrupt(images: np.ndarray, kind: str, param: float, seed: int | None = None
     stream."""
     if images.ndim != 4:
         raise ValueError("expected an (n, h, w, c) image batch")
-    if kind not in _KINDS:
-        raise ValueError(f"unknown corruption kind: {kind!r}")
     _check_domain(kind, param)
     entry = _KINDS[kind]
     if entry.noise and seed is None:
@@ -186,8 +184,6 @@ def gaussian_eval_suite(d: LabeledDataset, seed: int, sigmas=SIGMA_SUITE) -> lis
     stream derived from (seed, i, "suite/<s>"), so the suite is reproducible
     image by image and sigma by sigma.
     """
-    if len(d) == 0:
-        raise ValueError("empty dataset")
     return [(sigma, LabeledDataset(corrupt(d.images, "gaussian_noise", sigma, seed, tag=f"suite/{sigma}"),
                                    d.labels.copy()))
             for sigma in sigmas]

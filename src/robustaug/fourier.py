@@ -37,7 +37,8 @@ _PROBE_CHUNK = 16
 
 @dataclass
 class FourierHeatmap:
-    """Per-frequency sensitivity values over a half-plane grid.
+    """Per-frequency sensitivity values over a half-plane grid, probed by one
+    of PROBES with perturbations of a finite l2 norm >= 0.
 
     grid maps (i, j) to the primary sensitivity value: test error in [0, 1]
     for the test_error probe, or the relative first-layer activation change
@@ -55,6 +56,8 @@ class FourierHeatmap:
     def __post_init__(self):
         if self.probe not in PROBES:
             raise ValueError(f"unknown probe: {self.probe}")
+        if not 0 <= self.norm < np.inf:  # also true for nan
+            raise ValueError(f"perturbation norm must be finite and >= 0, got {self.norm!r}")
 
 
 def frequency_range(n: int) -> range:
@@ -164,12 +167,7 @@ def sensitivity_heatmap(
     per-image norms.  The caller holds all (1 + len(freqs)) * n norms: 1 MB
     for 514 frequencies of 256 images, 41 MB at 10,000 images.
     """
-    if probe not in PROBES:
-        raise ValueError(f"unknown probe: {probe}")
-    if not 0 <= v < np.inf:  # also true for nan
-        raise ValueError(f"perturbation norm must be finite and >= 0, got {v!r}")
-    if len(d) == 0:
-        raise ValueError("empty dataset")
+    hm = FourierHeatmap(probe=probe, norm=v, seed=seed)
     if probe == "first_layer" and not hasattr(model, "first_layer"):
         raise ValueError("probe unsupported by model")
     n, h, w, _ = d.images.shape
@@ -187,8 +185,8 @@ def sensitivity_heatmap(
             labels = np.concatenate([model.predict(perturbed(f, group)) for group in lockstep_groups(n)])
             return 1.0 - accuracy(labels, d.labels)
 
-        grid = dict(zip(freq_list, indexed_map(test_error, len(freq_list), workers=workers)))
-        return FourierHeatmap(probe=probe, norm=v, seed=seed, grid=grid)
+        hm.grid = dict(zip(freq_list, indexed_map(test_error, len(freq_list), workers=workers)))
+        return hm
 
     starts = range(0, n, _PROBE_CHUNK)
 
@@ -201,14 +199,14 @@ def sensitivity_heatmap(
     means = np.mean(np.concatenate(list(indexed_map(chunk_norms, len(starts), workers=workers)), axis=1), axis=1)
     if means[0] <= 0.0:
         raise ValueError("zero clean activation norm")
-    grid = {f: float(mean / means[0]) for f, mean in zip(freq_list, means[1:])}
-    absolute = {f: float(mean) for f, mean in zip(freq_list, means[1:])}
-    return FourierHeatmap(probe=probe, norm=v, seed=seed, grid=grid, absolute=absolute)
+    hm.grid = {f: float(mean / means[0]) for f, mean in zip(freq_list, means[1:])}
+    hm.absolute = {f: float(mean) for f, mean in zip(freq_list, means[1:])}
+    return hm
 
 
 def _high_pass_raw(images: np.ndarray, radius: float) -> np.ndarray:
-    """High-pass filter without the final clip; shared by tests. images is
-    one (h, w, c) image or an (n, h, w, c) stack, filtered plane by plane."""
+    """High-pass filter at radius > 0 without the final clip. images is one
+    (h, w, c) image or an (n, h, w, c) stack, filtered plane by plane."""
     h, w = images.shape[-3:-1]
     # Masking the unshifted spectrum with the unshifted mask equals masking
     # the centered spectrum with the centered one. The mask depends only on
@@ -219,7 +217,7 @@ def _high_pass_raw(images: np.ndarray, radius: float) -> np.ndarray:
     back = np.fft.ifft2(spectra * keep, axes=(-3, -2), norm="ortho")
     # Removing the DC coefficient zero-centers each plane; shift it back to
     # mid-gray so the output stays viewable.
-    return back.real + 0.5 if radius > 0.0 else np.ascontiguousarray(back.real)
+    return back.real + 0.5
 
 
 def high_pass(images: np.ndarray, radius: float) -> np.ndarray:

@@ -32,7 +32,7 @@ _MAX_ELEMENTS = 2**31
 
 @dataclass
 class LabeledDataset:
-    """Uniformly shaped images (N, H, W, C) with aligned integer labels."""
+    """Uniformly shaped images (N, H, W, C), N >= 1, with aligned integer labels."""
 
     images: np.ndarray
     labels: np.ndarray
@@ -44,6 +44,8 @@ class LabeledDataset:
             raise ValueError(f"shape mismatch: images must be (N,H,W,C), got {self.images.shape}")
         if self.labels.ndim != 1 or len(self.labels) != len(self.images):
             raise ValueError(f"shape mismatch: {len(self.images)} images vs {self.labels.shape} labels")
+        if len(self.images) == 0:
+            raise ValueError("empty dataset")
 
     def __len__(self) -> int:
         return len(self.images)
@@ -51,8 +53,6 @@ class LabeledDataset:
 
 def channel_mean(d: LabeledDataset) -> np.ndarray:
     """Per-channel mean intensity over the whole dataset, shape (C,)."""
-    if len(d) == 0:
-        raise ValueError("empty dataset")
     return d.images.mean(axis=(0, 1, 2))
 
 
@@ -71,7 +71,7 @@ def read_cifar10_batch(data: bytes) -> LabeledDataset:
 
 
 def check_encodable(t: np.ndarray) -> None:
-    """encode_tensor's checks of an (H,W,C) image, made on t or on every image of a stack t."""
+    """The checks of an (H,W,C) image that encode_tensor and decode_tensor share, on t or on each image of a stack t."""
     h, w, c = t.shape[-3:]
     if h < 1 or w < 1 or c not in (1, 3):
         raise ValueError(f"bad dimensions: {t.shape[-3:]}")
@@ -90,7 +90,7 @@ def encode_tensor(t: np.ndarray) -> bytes:
 
 
 def decode_tensor(data: bytes) -> np.ndarray:
-    """Parse IMGT bytes back into a float64 image."""
+    """Parse IMGT bytes back into a float64 image that encode_tensor accepts."""
     if len(data) < 16:
         raise ValueError(f"truncated payload: {len(data)} bytes")
     if data[:4] != IMGT_MAGIC:
@@ -98,15 +98,12 @@ def decode_tensor(data: bytes) -> np.ndarray:
     h, w, c = struct.unpack("<III", data[4:16])
     if h * w * c > _MAX_ELEMENTS:
         raise ValueError(f"dim product overflow: {h}x{w}x{c}")
-    if h < 1 or w < 1 or c not in (1, 3):
-        raise ValueError(f"bad dimensions: {h}x{w}x{c}")
     expected = 4 * h * w * c
     if len(data) - 16 != expected:
         raise ValueError(f"length mismatch: payload {len(data) - 16} bytes, expected {expected}")
     values = np.frombuffer(data, dtype="<f4", offset=16)
     t = values.astype(np.float64).reshape(h, w, c)
-    if not np.isfinite(t).all():
-        raise ValueError("non-finite values")
+    check_encodable(t)
     return t
 
 

@@ -205,8 +205,6 @@ def first_layer(m: ToyModel, images) -> np.ndarray:
 
 
 def evaluate(m: ToyModel, d: LabeledDataset) -> float:
-    if len(d) == 0:
-        raise ValueError("empty dataset")
     return float(np.count_nonzero(predict(m, d.images) == d.labels) / len(d))
 
 
@@ -269,8 +267,6 @@ def train(m: ToyModel, d: LabeledDataset, cfg: TrainConfig, workers: int = 1) ->
     the same rows bit for bit.
     """
     n = len(d)
-    if n == 0:
-        raise ValueError("empty dataset")
     labels = _check_labels(d.labels, m.classes)
     head = m.head.copy()
     cache = None
@@ -356,8 +352,6 @@ def decode_model(data: bytes) -> ToyModel:
     offset = 4 + _HEADER.size
     filters = np.frombuffer(data, dtype="<f8", count=n_filter, offset=offset)
     head = np.frombuffer(data, dtype="<f8", count=n_head, offset=offset + 8 * n_filter)
-    if not np.isfinite(filters).all() or not np.isfinite(head).all():
-        raise ValueError("non-finite values")
     return ToyModel(
         filters=filters.reshape(k, 3, 3, c),
         head=head.reshape(k * g * g + 1, classes),

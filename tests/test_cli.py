@@ -346,6 +346,17 @@ def test_empty_cifar_batch_is_diagnosed(tmp_path, capsys):
         assert not (tmp_path / "out").exists()
 
 
+@pytest.mark.parametrize("payload, why", [
+    (bytes(3072), "malformed batch: 3072 bytes is not a multiple of 3073"),
+    (bytes([10]) + bytes(3072), "label out of range: 10"),
+], ids=["malformed", "label"])
+def test_cifar_batch_errors_name_the_file(tmp_path, capsys, payload, why):
+    bad = tmp_path / "bad.bin"
+    bad.write_bytes(payload)
+    assert run("eval", "--input", bad, "--predictions", bad) == 1
+    assert capsys.readouterr().err == f"error: {bad}: {why}\n"
+
+
 def test_train_eval_fourier_round_trip(tmp_path, capsys):
     d = make_synth(tmp_path, count=8)
     ckpt = tmp_path / "model.toym"

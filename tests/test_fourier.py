@@ -421,11 +421,11 @@ def test_heatmap_errors():
         sensitivity_heatmap(ZeroPredictor(), d, 1.0, "logits", seed=0)
     with pytest.raises(ValueError, match="unknown probe: logits"):
         FourierHeatmap(probe="logits", norm=1.0, seed=0)
+    for norm in (math.nan, math.inf, -1.0):
+        with pytest.raises(ValueError, match=f"perturbation norm must be finite and >= 0, got {norm!r}"):
+            FourierHeatmap(probe="test_error", norm=norm, seed=0)
     with pytest.raises(ValueError, match="probe unsupported by model"):
         sensitivity_heatmap(ZeroPredictor(), d, 1.0, "first_layer", seed=0)
-    empty = LabeledDataset(np.zeros((0, 8, 8, 1)), np.zeros(0, dtype=np.int64))
-    with pytest.raises(ValueError, match="empty dataset"):
-        sensitivity_heatmap(ZeroPredictor(), empty, 1.0, "test_error", seed=0)
     m, color = first_layer_case()
     for probe in ("test_error", "first_layer"):
         with pytest.raises(ValueError, match="no frequencies to probe"):

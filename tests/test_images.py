@@ -2,10 +2,12 @@
 
 import math
 import struct
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import robustaug.images
 from robustaug.images import (
     IMGT_MAGIC,
     LabeledDataset,
@@ -44,9 +46,24 @@ def test_channel_mean_matches_double_loop():
 
 
 def test_channel_mean_empty_dataset():
-    d = LabeledDataset(np.zeros((0, 4, 4, 1)), np.zeros(0, dtype=int))
+    # LabeledDataset refuses 0 images, so an empty dataset never reaches channel_mean
     with pytest.raises(ValueError, match="empty dataset"):
-        channel_mean(d)
+        channel_mean(LabeledDataset(np.zeros((0, 4, 4, 1)), np.zeros(0, dtype=int)))
+
+
+def test_dataset_is_never_empty():
+    with pytest.raises(ValueError, match="empty dataset"):
+        LabeledDataset(np.zeros((0, 4, 4, 1)), np.zeros(0, dtype=int))
+    with pytest.raises(ValueError, match="empty dataset"):
+        read_cifar10_batch(b"")
+
+
+def test_only_the_dataset_and_the_directory_loader_check_for_no_images():
+    """LabeledDataset refuses 0 images, so no function that takes one checks
+    again; load_dataset's directory branch checks before it allocates."""
+    package = Path(robustaug.images.__file__).parent
+    counts = {path.name: path.read_text().count("empty dataset") for path in package.glob("*.py")}
+    assert {name: count for name, count in counts.items() if count} == {"cli.py": 1, "images.py": 1}
 
 
 def test_dataset_shape_mismatch():

@@ -341,9 +341,8 @@ def test_train_augmentation_changes_outcome():
 def test_train_validation():
     m = init_toy_model(0, k=2, c=1, g=2, classes=2)
     cfg = TrainConfig(epochs=1, learning_rate=0.1, batch_size=4, seed=0)
-    empty = LabeledDataset(np.zeros((0, 8, 8, 1)), np.zeros(0, dtype=np.int64))
     with pytest.raises(ValueError, match="empty dataset"):
-        train(m, empty, cfg)
+        train(m, LabeledDataset(np.zeros((0, 8, 8, 1)), np.zeros(0, dtype=np.int64)), cfg)
     bad = LabeledDataset(np.zeros((2, 8, 8, 1)), np.array([0, 7]))
     with pytest.raises(ValueError, match="label out of range"):
         train(m, bad, cfg)
@@ -381,10 +380,10 @@ def test_evaluate_arithmetic():
 
 
 def test_evaluate_rejects_empty_dataset():
+    # LabeledDataset refuses 0 images, so an empty dataset never reaches evaluate
     m = init_toy_model(0, k=2, c=1, g=2, classes=2)
-    empty = LabeledDataset(np.zeros((0, 8, 8, 1)), np.zeros(0, dtype=np.int64))
     with pytest.raises(ValueError, match="empty dataset"):
-        evaluate(m, empty)
+        evaluate(m, LabeledDataset(np.zeros((0, 8, 8, 1)), np.zeros(0, dtype=np.int64)))
 
 
 def test_synth_balanced_and_in_range():
