@@ -12,10 +12,11 @@ Commands:
   synth     generate the frequency-labeled synthetic dataset
 
 Datasets are either a CIFAR-style binary batch file or a directory of
-<index>.imgt tensors with a labels.txt.  A --config file holds flat
-key=value lines: each key is one of the command's long options (dashes or
-underscores), an unknown key is an error, each value is checked as its flag
-would be, and explicit flags override the file.  Every output file is
+<index>.imgt tensors with a labels.txt.  Text inputs are UTF-8, and a bad input
+file exits 1 with "error: PATH: [line N: ]what is wrong".  A --config file
+holds flat key=value lines: each key is one of the command's long options
+(dashes or underscores), an unknown key is an error, each value is checked as
+its flag would be, and explicit flags override the file.  Every output file is
 written to a temporary name and renamed into place, and every command is
 deterministic given its seed and inputs.  Every command accepts --workers;
 train (the epochs of a noise arm), fourier (the heatmap frequencies) and
@@ -92,16 +93,23 @@ def _image_name(i: int) -> str:
     return f"{i:05d}.imgt"
 
 
-def _read_ints(path) -> np.ndarray:
-    """The whitespace-separated integers of a text file; a bad token raises
-    ValueError naming the file and its line."""
+def _parse_file(path, parse):
+    """parse(the bytes of the file at path), its ValueError raised again naming the file."""
+    try:
+        return parse(Path(path).read_bytes())
+    except ValueError as e:  # UnicodeDecodeError is one
+        raise ValueError(f"{path}: {e}") from None
+
+
+def _read_ints(data: bytes) -> np.ndarray:
+    """The whitespace-separated integers of a UTF-8 text file; a bad token raises ValueError naming its line."""
     values = []
-    for no, line in enumerate(Path(path).read_text().splitlines(), 1):
+    for no, line in enumerate(data.decode().splitlines(), 1):
         for tok in line.split():
             try:
-                values.append(int(tok))
-            except ValueError:
-                raise ValueError(f"{path} line {no}: {tok!r} is not an integer") from None
+                values.append(np.int64(tok))
+            except (ValueError, OverflowError):
+                raise ValueError(f"line {no}: {tok!r} is not a 64-bit integer") from None
     return np.array(values, dtype=np.int64)
 
 
@@ -109,26 +117,25 @@ def load_dataset(path) -> LabeledDataset:
     """CIFAR binary batch file, or a directory of equally shaped .imgt
     tensors + labels.txt."""
     p = Path(path)
-    if p.is_dir():
-        labels = _read_ints(p / "labels.txt")
-        files = len(list(p.glob("*.imgt")))
-        if files != len(labels):
-            raise ValueError(f"{p}: {files} .imgt files for {len(labels)} labels")
-        if len(labels) == 0:
-            raise ValueError(f"{p}: empty dataset, labels.txt lists no images")
-        for i in range(len(labels)):
-            image = decode_tensor((p / _image_name(i)).read_bytes())
-            if i == 0:
-                images = np.empty((len(labels),) + image.shape)
-            elif image.shape != images.shape[1:]:
-                raise ValueError(f"{p / _image_name(i)}: shape {image.shape} differs from {images.shape[1:]} of "
-                                 f"{_image_name(0)}")
-            images[i] = image
-        return LabeledDataset(images, labels)
-    try:
-        return read_cifar10_batch(p.read_bytes())
-    except ValueError as e:
-        raise ValueError(f"{p}: {e}") from None
+    if not p.is_dir():
+        return _parse_file(p, read_cifar10_batch)
+    labels = _parse_file(p / "labels.txt", _read_ints)
+    files = len(list(p.glob("*.imgt")))
+    if files != len(labels):
+        raise ValueError(f"{p}: {files} .imgt files for {len(labels)} labels")
+    if len(labels) == 0:
+        raise ValueError(f"{p}: empty dataset, labels.txt lists no images")
+    first = _parse_file(p / _image_name(0), decode_tensor)
+    images = np.empty((len(labels),) + first.shape)
+
+    def decode_like_first(data):
+        if (image := decode_tensor(data)).shape != first.shape:
+            raise ValueError(f"shape {image.shape} differs from {first.shape} of {_image_name(0)}")
+        return image
+
+    for i in range(len(labels)):
+        images[i] = _parse_file(p / _image_name(i), decode_like_first) if i else first
+    return LabeledDataset(images, labels)
 
 
 def write_dataset(d: LabeledDataset, out_dir) -> None:
@@ -143,14 +150,6 @@ def write_dataset(d: LabeledDataset, out_dir) -> None:
     for path in out.glob("*.imgt"):
         if path.stem.isdigit() and int(path.stem) >= len(d) and path.name == _image_name(int(path.stem)):
             path.unlink()
-
-
-def _parse_file(path, parse):
-    """parse(the text of the file at path), its ValueError raised again naming the file."""
-    try:
-        return parse(Path(path).read_text())
-    except ValueError as e:
-        raise ValueError(f"{path}: {e}") from None
 
 
 def _write_report(args, report: dict) -> None:
@@ -177,21 +176,21 @@ def parse_config(text: str) -> dict:
         if not s or s.startswith("#"):
             continue
         if "=" not in s:
-            raise ValueError(f"bad config line {no}: {line!r}")
+            raise ValueError(f"line {no}: {line!r} is not key=value")
         key, val = s.split("=", 1)
         cfg[key.strip().replace("-", "_")] = val.strip()
     return cfg
 
 
-def _config_defaults(command: argparse.ArgumentParser, path) -> dict:
+def _config_defaults(command: argparse.ArgumentParser, data: bytes) -> dict:
     """The --config file's values, each parsed by the action of the command
     option it names: its type and choices, or _BOOL for an on/off flag."""
     actions = {a.dest: a for a in command._actions if a.dest not in ("help", "config")}
     defaults = {}
-    for key, raw in _parse_file(path, parse_config).items():
+    for key, raw in parse_config(data.decode()).items():
         action = actions.get(key)
         if action is None:
-            raise ValueError(f"{path}: {key} is not an option of {command.prog}")
+            raise ValueError(f"{key} is not an option of {command.prog}")
         try:
             if isinstance(action, argparse.BooleanOptionalAction):
                 defaults[key] = _BOOL[raw.lower()]
@@ -199,7 +198,7 @@ def _config_defaults(command: argparse.ArgumentParser, path) -> dict:
                 defaults[key] = command._get_value(action, raw)
                 command._check_value(action, defaults[key])
         except (KeyError, argparse.ArgumentError):
-            raise ValueError(f"{path}: bad value for {key}: {raw!r}") from None
+            raise ValueError(f"bad value for {key}: {raw!r}") from None
     return defaults
 
 
@@ -254,7 +253,7 @@ def cmd_corrupt(args) -> int:
     kind = _req(args, "kind")
     if (args.severity is None) == (args.param is None):
         raise ValueError("need exactly one of --severity / --param")
-    table = _parse_file(args.table, parse_severity_table) if args.table else DEFAULT_SEVERITY
+    table = _parse_file(args.table, lambda b: parse_severity_table(b.decode())) if args.table else DEFAULT_SEVERITY
     if args.param is None and kind not in table:
         raise ValueError(f"{args.table}: severity table has no rows for {kind}")
     param = table[kind][args.severity - 1] if args.param is None else args.param
@@ -269,9 +268,9 @@ def cmd_eval(args) -> int:
     if (args.predictions is None) == (args.model is None):
         raise ValueError("need exactly one of --predictions / --model")
     if args.predictions is not None:
-        preds = _read_ints(args.predictions)
+        preds = _parse_file(args.predictions, _read_ints)
     else:
-        preds = decode_model(Path(args.model).read_bytes()).predict(d.images)
+        preds = _parse_file(args.model, decode_model).predict(d.images)
     acc = accuracy(preds, d.labels)
     print(f"accuracy {acc:.4f}")
     _write_report(args, {"clean_accuracy": acc, "count": len(d)})
@@ -284,12 +283,12 @@ def _rate(cell: str) -> float:
     return value
 
 
-def _read_table(path, what: str, header: str, casts) -> list:
-    """The rows below a CSV file's header line, each cell converted by its
-    column's cast; a bad row or cell raises ValueError naming its line."""
-    lines = [(no, ln) for no, ln in enumerate(Path(path).read_text().splitlines(), 1) if ln.strip()]
+def _read_table(data: bytes, what: str, header: str, casts) -> list:
+    """The rows below a UTF-8 CSV file's header line, each cell converted by
+    its column's cast; a bad row or cell raises ValueError naming its line."""
+    lines = [(no, ln) for no, ln in enumerate(data.decode().splitlines(), 1) if ln.strip()]
     if not lines or lines[0][1].strip() != header:
-        raise ValueError(f"bad {what} header in {path}: want {header!r}")
+        raise ValueError(f"bad {what} header: want {header!r}")
     rows = []
     for no, ln in lines[1:]:
         try:
@@ -297,22 +296,22 @@ def _read_table(path, what: str, header: str, casts) -> list:
                 raise ValueError(f"want {len(casts)} comma-separated columns")
             rows.append([cast(cell) for cast, cell in zip(casts, ln.split(","))])
         except ValueError as e:
-            raise ValueError(f"{path} line {no}: {e}") from None
+            raise ValueError(f"line {no}: {e}") from None
     return rows
 
 
-def _read_error_map(path) -> dict:
+def _read_error_map(data: bytes) -> dict:
     out = {}
-    for kind, severity, error in _read_table(path, "error map", "kind,severity,error", (str.strip, int, _rate)):
+    for kind, severity, error in _read_table(data, "error map", "kind,severity,error", (str.strip, int, _rate)):
         if (kind, severity) in out:
-            raise ValueError(f"repeated {kind},{severity} row in {path}")
+            raise ValueError(f"repeated {kind},{severity} row")
         out[kind, severity] = error
     return out
 
 
 def cmd_mce(args) -> int:
-    model_err = _read_error_map(_req(args, "input"))
-    baseline_err = _read_error_map(_req(args, "baseline"))
+    model_err = _parse_file(_req(args, "input"), _read_error_map)
+    baseline_err = _parse_file(_req(args, "baseline"), _read_error_map)
     ce = corruption_error(model_err, baseline_err)
     report = {"ce": dict(sorted(ce.items())), "mce": mce(ce)}
     if args.exclude_noise:
@@ -322,14 +321,14 @@ def cmd_mce(args) -> int:
     return 0
 
 
-def _read_candidates(path) -> list:
+def _read_candidates(data: bytes) -> list:
     header = "label,clean_acc," + ",".join(f"acc_{s}" for s in SIGMA_SUITE)
-    rows = _read_table(path, "candidates", header, (str.strip,) + (_rate,) * (1 + len(SIGMA_SUITE)))
+    rows = _read_table(data, "candidates", header, (str.strip,) + (_rate,) * (1 + len(SIGMA_SUITE)))
     return [Candidate(label, EvalResult(clean, dict(zip(SIGMA_SUITE, accs)))) for label, clean, *accs in rows]
 
 
 def cmd_select(args) -> int:
-    winner = select_hparams(_read_candidates(_req(args, "input")), _req(args, "z"))
+    winner = select_hparams(_parse_file(_req(args, "input"), _read_candidates), _req(args, "z"))
     print(winner.label)
     _write_report(args, {
         "winner": winner.label,
@@ -341,7 +340,7 @@ def cmd_select(args) -> int:
 
 def cmd_fourier(args) -> int:
     d = load_dataset(_req(args, "input"))
-    m = decode_model(Path(_req(args, "model")).read_bytes())
+    m = _parse_file(_req(args, "model"), decode_model)
     h, w = d.images.shape[1:3]
     freqs = half_plane_frequencies(h, w)
     if args.max_freq is not None:
@@ -484,7 +483,7 @@ def main(argv=None) -> int:
         if args.config:
             # config values become the command's defaults, so flags still win
             command = commands[args.command]
-            command.set_defaults(**_config_defaults(command, args.config))
+            command.set_defaults(**_parse_file(args.config, lambda data: _config_defaults(command, data)))
             args = parser.parse_args(argv)
         return args.func(args)
     except (ValueError, OSError) as e:

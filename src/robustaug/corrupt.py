@@ -55,13 +55,13 @@ def parse_severity_table(text: str) -> dict:
             continue
         parts = line.split()
         if len(parts) != 3:
-            raise ValueError(f"severity table line {lineno}: expected 'kind level parameter'")
+            raise ValueError(f"line {lineno}: expected 'kind level parameter'")
         try:
             kind, level, param = parts[0], int(parts[1]), float(parts[2])
         except ValueError as e:
-            raise ValueError(f"severity table line {lineno}: {e}") from None
+            raise ValueError(f"line {lineno}: {e}") from None
         if level in rows.setdefault(kind, {}):
-            raise ValueError(f"severity table line {lineno}: repeated {kind} level {level}")
+            raise ValueError(f"line {lineno}: repeated {kind} level {level}")
         rows[kind][level] = param
     table = {}
     for kind, levels in rows.items():
@@ -87,7 +87,7 @@ def _gaussian_noise(images: np.ndarray, sigma: float, states: np.ndarray) -> np.
 def _shot_noise(images: np.ndarray, lam: float, states: np.ndarray) -> np.ndarray:
     from scipy import stats  # imported here: it takes most of a second, and most commands never need it
     u = next_units(states, images.shape[1:])
-    # Exact inverse-transform Poisson: k = F^{-1}(u) at mean img*lam.
+    # Exact inverse-transform Poisson: k = F^{-1}(u) at mean img*lam (NaN from about 5e10, so lam <= 1e10).
     counts = stats.poisson.ppf(u, images * lam)
     counts = np.maximum(counts, 0.0)  # ppf(0) reports -1; floor it at zero
     return counts / lam
@@ -123,7 +123,7 @@ def _defocus_blur(images: np.ndarray, radius: float) -> np.ndarray:
 
 def _pixelate(images: np.ndarray, factor: float) -> np.ndarray:
     _, h, w, _ = images.shape
-    k = int(factor)
+    k = int(min(factor, max(h, w)))  # a block the image's size or larger is the whole image
     ys = np.arange(0, h, k)
     xs = np.arange(0, w, k)
     sums = np.add.reduceat(np.add.reduceat(images, ys, axis=1), xs, axis=2)
@@ -145,7 +145,7 @@ class _Kind:
 # One row per kind; each kernel names its parameter. shot_noise's lam counts photons per unit intensity.
 _KINDS = {
     "gaussian_noise": _Kind(_gaussian_noise, True, 1, lambda p: p >= 0, (0.04, 0.06, 0.08, 0.09, 0.10)),
-    "shot_noise": _Kind(_shot_noise, True, -1, lambda p: p > 0, (500.0, 250.0, 100.0, 75.0, 50.0)),
+    "shot_noise": _Kind(_shot_noise, True, -1, lambda p: 0 < p <= 1e10, (500.0, 250.0, 100.0, 75.0, 50.0)),
     "impulse_noise": _Kind(_impulse_noise, True, 1, lambda p: 0 <= p <= 1, (0.01, 0.02, 0.03, 0.05, 0.07)),
     "brightness": _Kind(lambda x, shift: x + shift, False, 1, lambda p: -1 <= p <= 1, (0.05, 0.10, 0.15, 0.20, 0.30)),
     "contrast": _Kind(_contrast, False, -1, lambda p: p >= 0, (0.75, 0.50, 0.40, 0.30, 0.15)),

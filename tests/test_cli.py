@@ -12,7 +12,7 @@ import numpy as np
 import pytest
 
 import robustaug.cli as cli_module
-from robustaug.cli import _contact_sheet, load_dataset, main, parse_config, write_dataset
+from robustaug.cli import _contact_sheet, _read_ints, load_dataset, main, parse_config, write_dataset
 from robustaug.corrupt import SIGMA_SUITE
 from robustaug.images import LabeledDataset, decode_tensor, encode_tensor
 from robustaug.model import decode_model, synth_dataset
@@ -244,7 +244,7 @@ def test_mce_names_the_line_of_a_bad_error_row(tmp_path, capsys, row, why):
     for model_csv, baseline_csv in ((bad, good), (good, bad)):
         assert run("mce", "--input", model_csv, "--baseline", baseline_csv, "--output", report) == 1
         err = capsys.readouterr().err
-        assert err.startswith(f"error: {bad} line 3: ") and why in err
+        assert err.startswith(f"error: {bad}: line 3: ") and why in err
     assert not report.exists()
 
 
@@ -297,7 +297,7 @@ def test_select_names_the_line_of_a_bad_candidate_row(tmp_path, capsys, row, why
     cands.write_text("\n".join([header, "A,0.97," + ",".join(["0.92"] * 6), row]) + "\n")
     assert run("select", "--input", cands, "--z", "0.9") == 1
     err = capsys.readouterr().err
-    assert err.startswith(f"error: {cands} line 3: ") and why in err
+    assert err.startswith(f"error: {cands}: line 3: ") and why in err
 
 
 def test_highpass_zero_radius_copies_bytes(tmp_path):
@@ -321,10 +321,10 @@ def test_empty_dataset_directory_is_diagnosed(tmp_path, capsys):
 def test_non_integer_label_names_file_and_line(tmp_path, capsys):
     d = make_synth(tmp_path, count=4)
     (d / "labels.txt").write_text("0\n1\n0x\n1\n")
-    with pytest.raises(ValueError, match=r"labels.txt line 3: '0x' is not an integer"):
+    with pytest.raises(ValueError, match=r"labels.txt: line 3: '0x' is not a 64-bit integer"):
         load_dataset(d)
     assert run("highpass", "--input", d, "--output", tmp_path / "hp", "--radius", "1") == 1
-    assert f"error: {d / 'labels.txt'} line 3: '0x' is not an integer" in capsys.readouterr().err
+    assert f"error: {d / 'labels.txt'}: line 3: '0x' is not a 64-bit integer" in capsys.readouterr().err
 
 
 def test_non_integer_prediction_names_file_and_line(tmp_path, capsys):
@@ -332,7 +332,7 @@ def test_non_integer_prediction_names_file_and_line(tmp_path, capsys):
     preds = tmp_path / "preds.txt"
     preds.write_text("0 1\n0 1.5\n")
     assert run("eval", "--input", d, "--predictions", preds) == 1
-    assert f"error: {preds} line 2: '1.5' is not an integer" in capsys.readouterr().err
+    assert f"error: {preds}: line 2: '1.5' is not a 64-bit integer" in capsys.readouterr().err
 
 
 def test_empty_cifar_batch_is_diagnosed(tmp_path, capsys):
@@ -355,6 +355,52 @@ def test_cifar_batch_errors_name_the_file(tmp_path, capsys, payload, why):
     bad.write_bytes(payload)
     assert run("eval", "--input", bad, "--predictions", bad) == 1
     assert capsys.readouterr().err == f"error: {bad}: {why}\n"
+
+
+GOOD_MAP = "kind,severity,error\n" + "".join(f"gaussian_noise,{sev},0.5\n" for sev in range(1, 6))
+# input -> (argv before --output, the file it reads, bad bytes for it, whether it is text);
+# "{data}" is a four-image dataset directory, "{map}" a valid error map and "{bad}" a file of its own
+BAD_INPUTS = {
+    "labels": (["highpass", "--input", "{data}", "--radius", "1"], "{data}/labels.txt", b"0\n1\nx\n1\n", True),
+    "imgt": (["highpass", "--input", "{data}", "--radius", "1"], "{data}/00001.imgt", b"JUNK" * 5, False),
+    "cifar": (["highpass", "--input", "{bad}", "--radius", "1"], "{bad}", bytes(3072), False),
+    "eval-predictions": (["eval", "--input", "{data}", "--predictions", "{bad}"], "{bad}", b"0 x\n", True),
+    "eval-model": (["eval", "--input", "{data}", "--model", "{bad}"], "{bad}", b"JUNK" + bytes(40), False),
+    "fourier-model": (["fourier", "--input", "{data}", "--model", "{bad}", "--norm", "1"], "{bad}",
+                      b"JUNK" + bytes(40), False),
+    "config": (["augment", "--input", "{data}", "--config", "{bad}"], "{bad}", b"seed 5\n", True),
+    "corrupt-table": (["corrupt", "--input", "{data}", "--kind", "brightness", "--severity", "1", "--table", "{bad}"],
+                      "{bad}", b"brightness 1\n", True),
+    "mce-input": (["mce", "--input", "{bad}", "--baseline", "{map}"], "{bad}", b"kind,severity\n", True),
+    "mce-baseline": (["mce", "--input", "{map}", "--baseline", "{bad}"], "{bad}", b"kind,severity\n", True),
+    "select-input": (["select", "--input", "{bad}", "--z", "0.9"], "{bad}", b"label\n", True),
+}
+
+
+@pytest.mark.parametrize("name,payload",
+                         [pytest.param(name, case[2], id=f"{name}-bad") for name, case in BAD_INPUTS.items()]
+                         + [pytest.param(name, b"0\n\xff\n", id=f"{name}-non-utf-8")
+                            for name, case in BAD_INPUTS.items() if case[3]])
+def test_every_bad_input_file_exits_1_naming_it(tmp_path, capsys, name, payload):
+    argv, target, _, _ = BAD_INPUTS[name]
+    places = {"data": make_synth(tmp_path, count=4), "map": tmp_path / "map.csv", "bad": tmp_path / "bad"}
+    places["map"].write_text(GOOD_MAP)
+    bad, out = Path(target.format(**places)), tmp_path / "out"
+    bad.write_bytes(payload)
+    assert run(*[arg.format(**places) for arg in argv], "--output", out) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {bad}: ") and err.count("\n") == 1, err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("token", ["9223372036854775808", "-9223372036854775809", "1" + "0" * 30])
+def test_integer_beyond_int64_names_file_and_line(tmp_path, capsys, token):
+    d = make_synth(tmp_path, count=4)
+    preds = tmp_path / "preds.txt"
+    preds.write_text(f"0 1\n{token} 1\n")
+    assert run("eval", "--input", d, "--predictions", preds) == 1
+    assert capsys.readouterr().err == f"error: {preds}: line 2: {token!r} is not a 64-bit integer\n"
+    assert list(_read_ints(b"9223372036854775807 -9223372036854775808")) == [2**63 - 1, -2**63]
 
 
 def test_train_eval_fourier_round_trip(tmp_path, capsys):
@@ -459,7 +505,7 @@ def test_config_line_matches_its_flag(tmp_path, data_and_model, case):
     ("fourier", "probe=last_layer", "bad value for probe: 'last_layer'"),
     ("train", "epochs=2.5", "bad value for epochs: '2.5'"),
     ("augment", "sample-up-to=maybe", "bad value for sample_up_to: 'maybe'"),
-    ("augment", "# defaults\nseed=5\nseed 5", "bad config line 3: 'seed 5'"),
+    ("augment", "# defaults\nseed=5\nseed 5", "line 3: 'seed 5' is not key=value"),
     ("corrupt", "kind=brightness\nseverity=6", "bad value for severity: '6'"),
 ])
 def test_bad_config_line_exits_1_naming_the_key(tmp_path, capsys, data_and_model, command, text, named):
@@ -478,8 +524,7 @@ def test_bad_severity_table_line_exits_1_naming_the_file_and_line(tmp_path, caps
     table.write_text("brightness 1 0.05\nbrightness 2\n")
     assert run("corrupt", "--input", d, "--output", out, "--kind", "brightness", "--severity", "1",
                "--table", table) == 1
-    assert capsys.readouterr().err == (f"error: {table}: severity table line 2: "
-                                       "expected 'kind level parameter'\n")
+    assert capsys.readouterr().err == f"error: {table}: line 2: expected 'kind level parameter'\n"
     assert not out.exists()
 
 
@@ -516,7 +561,7 @@ def test_non_finite_option_exits_1_before_any_output(tmp_path, capsys, data_and_
 
 
 def test_parse_config_rejects_garbage():
-    with pytest.raises(ValueError, match="bad config line"):
+    with pytest.raises(ValueError, match=r"^line 1: 'seed 5' is not key=value$"):
         parse_config("seed 5\n")
     assert parse_config("a=1\n\n# note\nb-c = x\n") == {"a": "1", "b_c": "x"}
 

@@ -143,6 +143,12 @@ def test_pixelate_ragged_blocks():
     assert np.allclose(out[3:5, 3:5, 0], corner.mean(), atol=1e-12)
 
 
+@pytest.mark.parametrize("factor", [14.0, 100.0, 1e18, 2.0**63, 1e300])
+def test_pixelate_block_at_least_the_image_is_one_block(factor):
+    images = np.random.default_rng(6).random((2, 13, 9, 3))
+    assert np.array_equal(corrupt(images, "pixelate", factor), corrupt(images, "pixelate", 13.0))
+
+
 def test_defocus_matches_nested_loop_oracle():
     img = np.random.default_rng(6).random((6, 7, 1))
     radius = 2.0
@@ -288,6 +294,7 @@ def test_unknown_kind_and_domain_errors():
 DOMAIN_EDGES = [
     ("gaussian_noise", 0.0, -math.ulp(0.0)),
     ("shot_noise", math.ulp(0.0), 0.0),
+    ("shot_noise", 1e10, math.nextafter(1e10, math.inf)),  # poisson.ppf is NaN at means from about 5e10
     ("impulse_noise", 0.0, -math.ulp(0.0)),
     ("impulse_noise", 1.0, math.nextafter(1.0, 2.0)),
     ("brightness", -1.0, math.nextafter(-1.0, -2.0)),
@@ -304,6 +311,13 @@ def test_domain_edges(kind, edge, outside):
     corrupt_one(img, kind, edge, 0, 0, "x")
     with pytest.raises(ValueError, match=f"out of domain for {kind}"):
         corrupt_one(img, kind, outside, 0, 0, "x")
+
+
+def test_shot_noise_beyond_1e10_is_out_of_domain():
+    with pytest.raises(ValueError, match=r"out of domain for shot_noise: 1000000000000\.0$"):
+        corrupt(np.ones((1, 1, 2, 1)), "shot_noise", 1e12, seed=0)
+    with pytest.raises(ValueError, match=r"out of domain for shot_noise: 1000000000000\.0$"):
+        parse_severity_table(DEFAULT_TABLE.replace("shot_noise 1 500.0", "shot_noise 1 1e12"))
 
 
 def test_severity_table_round_trip():
@@ -334,7 +348,7 @@ def test_severity_table_rejects_a_repeated_level():
 
 @pytest.mark.parametrize("bad_line", ["brightness x 0.1", "brightness 2 abc", "brightness 2.5 0.1"])
 def test_severity_table_names_the_line_of_a_bad_level_or_parameter(bad_line):
-    with pytest.raises(ValueError, match=r"^severity table line 3: "):
+    with pytest.raises(ValueError, match=r"^line 3: "):
         parse_severity_table(f"# kind level parameter\nbrightness 1 0.05\n{bad_line}\n")
 
 
