@@ -94,11 +94,13 @@ def _image_name(i: int) -> str:
 
 
 def _parse_file(path, parse):
-    """parse(the bytes of the file at path), its ValueError raised again naming the file."""
+    """parse(the bytes of the file at path), its ValueError or OSError raised again naming the file."""
     try:
         return parse(Path(path).read_bytes())
     except ValueError as e:  # UnicodeDecodeError is one
         raise ValueError(f"{path}: {e}") from None
+    except OSError as e:  # the same type, so a caller can still catch FileNotFoundError
+        raise type(e)(f"{path}: {e.strerror}") from None
 
 
 def _read_ints(data: bytes) -> np.ndarray:

@@ -132,11 +132,11 @@ def _conv_bands(m: ToyModel, images):
     Yields (chunk, band, rows, acts), acts a (rows, w, images, max(k, 2))
     view of a buffer the next band overwrites; callers take the first k
     filters only after reducing.  A band is one GEMM on its rows of the taps
-    gathered once per chunk, laid out (row, column, image); a short chunk's
-    spare image slots repeat its last pixel.  A lone filter gets a zero
-    second one, because numpy's one-column matmul takes a GEMV path whose
-    sums depend on the number of rows; with the GEMM a row depends only on
-    its own taps, so an image's features do not depend on its batch.
+    gathered once per chunk into 8 image slots, laid out (row, column,
+    image); a short chunk's spare slots repeat its last pixel.  So every
+    GEMM row count is a multiple of 8 that no batch changes, as some DGEMMs'
+    rows (OpenBLAS's Haswell kernel) depend on it.  A lone filter gets a zero
+    second one: over one filter, numpy's cell sums change with the image count.
     """
     images = np.asarray(images, dtype=np.float64)
     if images.ndim != 4 or images.shape[3] != m.channels:
@@ -146,14 +146,13 @@ def _conv_bands(m: ToyModel, images):
     if g > h or g > w:
         raise ValueError("pool grid exceeds image size")
     ys = [h * t // g for t in range(g + 1)]
-    tile = min(n, FEATURE_CHUNK)
     weights = np.zeros((max(k, 2), 9 * c))
     weights[:k] = m.filters.reshape(k, 9 * c)
     # flat pixel of tap (dy, dx) at each (row, column, image), clamped to the edge
     y, x = (np.clip(np.add.outer(np.arange(size), np.arange(-1, 2)), 0, size - 1) for size in (h, w))
-    index = y[:, None, None, :, None] * w + x[:, None, None, :] + h * w * np.arange(tile)[:, None, None]
+    index = y[:, None, None, :, None] * w + x[:, None, None, :] + h * w * np.arange(FEATURE_CHUNK)[:, None, None]
     taps = np.empty(index.shape + (c,))
-    acts = np.empty((ys[-1] - ys[-2], w, tile, len(weights)))  # the last band is the tallest
+    acts = np.empty((ys[-1] - ys[-2], w, FEATURE_CHUNK, len(weights)))  # the last band is the tallest
     for start in range(0, n, FEATURE_CHUNK):
         chunk = slice(start, start + FEATURE_CHUNK)
         np.take(images[chunk].reshape(-1, c), index, axis=0, out=taps, mode="clip")
@@ -162,7 +161,7 @@ def _conv_bands(m: ToyModel, images):
             out = acts[:rows.stop - rows.start]
             np.matmul(taps[rows].reshape(-1, 9 * c), weights.T, out=out.reshape(-1, len(weights)))
             np.maximum(out, 0.0, out=out)
-            yield chunk, band, rows, out[:, :, :min(tile, n - start)]
+            yield chunk, band, rows, out[:, :, :min(FEATURE_CHUNK, n - start)]
 
 
 def _features(m: ToyModel, images, out=None) -> np.ndarray:

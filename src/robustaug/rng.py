@@ -2,9 +2,9 @@
 
 Every random decision in this package is drawn from an explicitly derived
 stream so that a run is a pure function of (seed, image index, op tag).
-Streams are cheap to create, independent of each other, and stable across
-processes, batch boundaries and worker counts, which is what makes batched
-and parallel dataset maps byte-reproducible.
+Streams are cheap, independent and stable across processes and batches, so
+a run's bytes are the same at any worker count, BLAS thread count and
+grouping, for one numpy SIMD level and one OpenBLAS kernel.
 
 Generator: xoshiro256** (Blackman & Vigna, 2018) with SplitMix64 seeding.
 

@@ -3,7 +3,10 @@
 This is the feature layer as it was before the band kernel: each chunk of
 16 images is edge-padded with np.pad, convolved as one GEMM over all its
 pixels, rectified, and then pooled over the whole activation array, with a
-separate per-cell loop for grids that do not divide the image. It shares no
+separate per-cell loop for grids that do not divide the image. The GEMM's
+rows are padded to whole 8-image blocks by repeating the last image, as the
+band kernel pads its chunks, because some DGEMM kernels (OpenBLAS's
+Haswell) give a row a value that depends on the row count. It shares no
 code with robustaug.model, whose _features and first_layer the tests
 require to be bit-equal to these functions.
 
@@ -16,17 +19,19 @@ CHUNK = 16
 
 
 def conv_relu(filters: np.ndarray, images: np.ndarray) -> np.ndarray:
-    """Same-size 3x3 correlation with clamp-to-edge padding, then ReLU."""
+    """Same-size 3x3 correlation with clamp-to-edge padding, then ReLU, as
+    one GEMM over the images padded to whole 8-image blocks."""
     n, h, w, c = images.shape
-    padded = np.pad(images, ((0, 0), (1, 1), (1, 1), (0, 0)), mode="edge")
-    taps = np.empty((n, h, w, 3, 3, c))
+    blocks = np.concatenate([images, np.repeat(images[-1:], -n % 8, axis=0)])
+    padded = np.pad(blocks, ((0, 0), (1, 1), (1, 1), (0, 0)), mode="edge")
+    taps = np.empty((len(blocks), h, w, 3, 3, c))
     for dy in range(3):
         for dx in range(3):
             taps[:, :, :, dy, dx, :] = padded[:, dy:dy + h, dx:dx + w, :]
     k = len(filters)
-    acts = taps.reshape(n * h * w, 9 * c) @ filters.reshape(k, 9 * c).T
+    acts = taps.reshape(-1, 9 * c) @ filters.reshape(k, 9 * c).T
     np.maximum(acts, 0.0, out=acts)
-    return acts.reshape(n, h, w, k)
+    return acts.reshape(-1, h, w, k)[:n]
 
 
 def pool(acts: np.ndarray, g: int) -> np.ndarray:

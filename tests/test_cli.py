@@ -377,19 +377,31 @@ BAD_INPUTS = {
 }
 
 
-@pytest.mark.parametrize("name,payload",
-                         [pytest.param(name, case[2], id=f"{name}-bad") for name, case in BAD_INPUTS.items()]
-                         + [pytest.param(name, b"0\n\xff\n", id=f"{name}-non-utf-8")
-                            for name, case in BAD_INPUTS.items() if case[3]])
-def test_every_bad_input_file_exits_1_naming_it(tmp_path, capsys, name, payload):
+# inputs that cannot be read: None leaves the path missing, DIRECTORY makes it a directory
+DIRECTORY = "directory"
+UNREADABLE = [("cifar", None, "No such file or directory"), ("eval-predictions", None, "No such file or directory"),
+              ("eval-model", DIRECTORY, "Is a directory")]
+
+
+@pytest.mark.parametrize("name,payload,why",
+                         [pytest.param(name, case[2], None, id=f"{name}-bad") for name, case in BAD_INPUTS.items()]
+                         + [pytest.param(name, b"0\n\xff\n", None, id=f"{name}-non-utf-8")
+                            for name, case in BAD_INPUTS.items() if case[3]]
+                         + [pytest.param(name, payload, why, id=f"{name}-{payload or 'missing'}")
+                            for name, payload, why in UNREADABLE])
+def test_every_bad_input_file_exits_1_naming_it(tmp_path, capsys, name, payload, why):
     argv, target, _, _ = BAD_INPUTS[name]
     places = {"data": make_synth(tmp_path, count=4), "map": tmp_path / "map.csv", "bad": tmp_path / "bad"}
     places["map"].write_text(GOOD_MAP)
     bad, out = Path(target.format(**places)), tmp_path / "out"
-    bad.write_bytes(payload)
+    if payload == DIRECTORY:
+        bad.mkdir()
+    elif payload is not None:
+        bad.write_bytes(payload)
     assert run(*[arg.format(**places) for arg in argv], "--output", out) == 1
     err = capsys.readouterr().err
     assert err.startswith(f"error: {bad}: ") and err.count("\n") == 1, err
+    assert why is None or err == f"error: {bad}: {why}\n", err
     assert not out.exists()
 
 

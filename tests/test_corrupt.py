@@ -301,6 +301,7 @@ DOMAIN_EDGES = [
     ("brightness", 1.0, math.nextafter(1.0, 2.0)),
     ("contrast", 0.0, -math.ulp(0.0)),
     ("defocus_blur", 0.0, -math.ulp(0.0)),
+    ("defocus_blur", 50.0, math.nextafter(50.0, math.inf)),  # the dense disk kernel grows with the radius squared
     ("pixelate", 1.0, 0.0),  # the nearest integer: pixelate takes integers only
 ]
 
@@ -318,6 +319,12 @@ def test_shot_noise_beyond_1e10_is_out_of_domain():
         corrupt(np.ones((1, 1, 2, 1)), "shot_noise", 1e12, seed=0)
     with pytest.raises(ValueError, match=r"out of domain for shot_noise: 1000000000000\.0$"):
         parse_severity_table(DEFAULT_TABLE.replace("shot_noise 1 500.0", "shot_noise 1 1e12"))
+
+
+def test_defocus_blur_beyond_radius_50_is_out_of_domain():
+    # refused by the table's check, before a 3.2 GB kernel could be built
+    with pytest.raises(ValueError, match=r"out of domain for defocus_blur: 10000\.0$"):
+        parse_severity_table(DEFAULT_TABLE.replace("defocus_blur 5 6.0", "defocus_blur 5 1e4"))
 
 
 def test_severity_table_round_trip():

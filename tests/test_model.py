@@ -154,7 +154,7 @@ def test_chunked_features_match_one_image_at_a_time(n, channels, h, w, g):
 @pytest.mark.parametrize("g", [1, 2, 3])
 @pytest.mark.parametrize("h,w,channels", [(13, 11, 3), (32, 32, 1)])
 def test_one_filter_features_do_not_depend_on_the_batch(h, w, channels, g):
-    # numpy's one-column matmul is a GEMV whose sums depend on the number of rows
+    # over a lone filter, numpy's cell sums would change with the number of images (hence the zero second filter)
     m = init_toy_model(g * h + w, k=1, c=channels, g=g, classes=2)
     images = np.random.default_rng(g * h).random((17, h, w, channels))
     for forward in (_features, first_layer):

@@ -71,8 +71,7 @@ def test_severity_table_non_finite_parameter_is_a_value_error(token):
             parse_severity_table("\n".join(bad))
 
 
-# each kind's smallest and largest finite in-domain parameters; defocus_blur stops at radius 50,
-# since its kernel grows with the radius squared: at 1e4 it is 3.2 GB
+# each kind's smallest and largest finite in-domain parameters
 EXTREMES = {
     "gaussian_noise": (0.0, sys.float_info.max),
     "shot_noise": (math.ulp(0.0), 1e10),
